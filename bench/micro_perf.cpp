@@ -66,9 +66,8 @@ void BM_CompileKernel(benchmark::State &State) {
 }
 BENCHMARK(BM_CompileKernel);
 
-// Arg 0 selects the dispatch mode (0 = switch, 1 = threaded,
-// 2 = threaded+fused) so one run reports the speedup matrix the pr8
-// acceptance gate tracks.
+// The label names the loop this build dispatches with ("goto" or
+// "switch", see -DCLGS_FORCE_SWITCH_DISPATCH).
 void BM_InterpretKernel(benchmark::State &State) {
   auto K = vm::compileFirstKernel(sampleSource()).take();
   std::vector<vm::BufferData> Bufs = {
@@ -77,11 +76,6 @@ void BM_InterpretKernel(benchmark::State &State) {
   vm::LaunchConfig Config;
   Config.GlobalSize[0] = 1024;
   Config.LocalSize[0] = 64;
-  switch (State.range(0)) {
-  case 0: Config.Dispatch = vm::DispatchMode::Switch; break;
-  case 1: Config.Dispatch = vm::DispatchMode::Threaded; break;
-  default: Config.Dispatch = vm::DispatchMode::ThreadedFused; break;
-  }
   uint64_t Instructions = 0;
   for (auto _ : State) {
     auto R = vm::launchKernel(K,
@@ -93,11 +87,11 @@ void BM_InterpretKernel(benchmark::State &State) {
     Instructions += R.get().Instructions;
     benchmark::DoNotOptimize(R.get().Instructions);
   }
-  State.SetLabel(vm::dispatchModeName(Config.Dispatch));
+  State.SetLabel(vm::threadedDispatchAvailable() ? "goto" : "switch");
   State.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(Instructions), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_InterpretKernel)->ArgName("dispatch")->DenseRange(0, 2);
+BENCHMARK(BM_InterpretKernel);
 
 void BM_FeatureExtraction(benchmark::State &State) {
   auto K = vm::compileFirstKernel(sampleSource()).take();

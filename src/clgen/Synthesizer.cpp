@@ -88,6 +88,9 @@ struct SynthesisEngine::Impl {
   size_t NextAttempt = 0;
 
   size_t Workers;
+  /// One private model clone per worker, serial path included, so the
+  /// caller's model is never mutated and may be shared across engines.
+  /// Empty when the model cannot clone: it is then sampled in place.
   std::vector<std::unique_ptr<model::LanguageModel>> Clones;
 
   Impl(model::LanguageModel &M, const SynthesisOptions &O)
@@ -99,17 +102,14 @@ struct SynthesisEngine::Impl {
     // Samples are drawn from the normalised corpus distribution; the
     // shim is unnecessary (and injecting it would not hurt, only slow).
     FilterOpts.UseShim = false;
-    // Per-worker model clones keep stateful generation thread-private.
-    if (Workers > 1) {
-      for (size_t W = 0; W < Workers; ++W) {
-        std::unique_ptr<model::LanguageModel> C = Model.clone();
-        if (!C) {
-          Clones.clear();
-          Workers = 1; // Model not cloneable: fall back to serial.
-          break;
-        }
-        Clones.push_back(std::move(C));
+    for (size_t W = 0; W < Workers; ++W) {
+      std::unique_ptr<model::LanguageModel> C = Model.clone();
+      if (!C) {
+        Clones.clear();
+        Workers = 1; // Model not cloneable: sample it in place, serially.
+        break;
       }
+      Clones.push_back(std::move(C));
     }
   }
 
@@ -151,11 +151,12 @@ struct SynthesisEngine::Impl {
 
   void extendTo(size_t CumTarget, const AcceptSink &Sink) {
     if (Workers == 1) {
+      model::LanguageModel &Sampled = Clones.empty() ? Model : *Clones[0];
       while (Kernels.size() < CumTarget && NextAttempt < MaxAttempts) {
         Candidate C;
         {
           CLGS_TRACE_SPAN_IDX("sample", NextAttempt);
-          C = produceCandidate(Model, Seed, Opts.Sampling, FilterOpts,
+          C = produceCandidate(Sampled, Seed, Opts.Sampling, FilterOpts,
                                Base.split(NextAttempt));
         }
         ++NextAttempt;

@@ -42,8 +42,10 @@ struct SynthesisOptions {
   /// for every worker count: each candidate attempt draws from its own
   /// counter-keyed RNG stream (Rng::split of the attempt index) and the
   /// accept/dedupe stage consumes candidates in attempt order, so
-  /// scheduling can never reorder outputs. Requires the model to support
-  /// clone(); models that do not are sampled serially.
+  /// scheduling can never reorder outputs. Every worker, the serial one
+  /// included, samples a private clone(), so engines may share one
+  /// model across threads. A model that cannot clone is sampled
+  /// serially and in place; such a model must not be shared.
   unsigned Workers = 1;
   /// Candidate attempts dispatched per parallel wave (0 = auto). Larger
   /// waves amortise fan-out overhead but speculate further past the

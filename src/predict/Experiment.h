@@ -18,9 +18,8 @@
 /// order-preservingly or writes disjoint slots keyed by input index,
 /// and the K-fold split is counter-keyed (predict/Evaluation.h), so an
 /// ExperimentResult — including both report strings, byte for byte —
-/// is a pure function of the SEMANTIC options only. Worker counts,
-/// queue capacities and VM dispatch mode can never change a byte of
-/// output. The golden tier (tests/golden/) pins this.
+/// is a pure function of the SEMANTIC options only. Worker counts and
+/// queue capacities can never change a byte of output. The golden tier (tests/golden/) pins this.
 ///
 /// Warm starts: runOrLoadExperiment persists the observation set, the
 /// trained model and the evaluation report as three store archives

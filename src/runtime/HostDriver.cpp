@@ -67,7 +67,6 @@ Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
   Config.MaxWorkGroups = Opts.MaxSimulatedGroups;
   Config.WatchdogMs = Opts.WatchdogMs;
   Config.TrapDivZero = Opts.TrapDivZero;
-  Config.Dispatch = Opts.Dispatch;
 
   // Profile into a launch-local buffer, then fold into the shared
   // aggregate exactly once — even failed launches executed real

@@ -87,13 +87,6 @@ struct DriverOptions {
   /// Note cache/ledger hits skip execution, so a warm run profiles only
   /// what it actually executed.
   vm::SharedOpcodeProfile *Profile = nullptr;
-  /// Instruction dispatch strategy for the measurement VM
-  /// (vm::DispatchMode). A pure speed knob: survivor bytes, counters
-  /// and trap classifications are bit-identical across modes (the
-  /// trap-parity contract), so it is deliberately EXCLUDED from the
-  /// measurement cache/ledger key recipe — results cached under one
-  /// mode are valid under every other.
-  vm::DispatchMode Dispatch = vm::DispatchMode::Auto;
 };
 
 /// Compiles and measures \p Source's first kernel on \p P's two devices.

@@ -39,10 +39,7 @@ void serializeDriverOptions(ArchiveWriter &W, const DriverOptions &Opts) {
   // recipe. The fault-tolerance knobs (WatchdogMs, MaxRetries,
   // RetryBackoffMs) deliberately are NOT: they can only turn a
   // measurement into a failure, never alter a successful measurement,
-  // and failures are not cached. Dispatch is excluded too: every
-  // dispatch mode produces bit-identical measurements (the VM's
-  // trap-parity contract, enforced by DispatchParityTest), so keying on
-  // it would only split the cache and re-measure identical results.
+  // and failures are not cached.
   W.writeBool(Opts.TrapDivZero);
 }
 

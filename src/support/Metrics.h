@@ -28,7 +28,7 @@
 /// below. Like the failpoint framework, the sites compile in only under
 /// `-DCLGS_TELEMETRY=ON` (the default); with telemetry compiled out
 /// every macro expands to nothing and the binary carries no per-site
-/// cost at all — `scripts/check_overhead.sh` proves the OFF build
+/// cost at all — `scripts/check_variants.sh` proves the OFF build
 /// drifts by nothing. The registry API itself is always compiled so
 /// tools can render (an empty) exposition unconditionally.
 ///

@@ -1569,7 +1569,7 @@ Result<CompiledKernel> vm::compileFirstKernel(const std::string &Source) {
 
 namespace {
 
-/// Decodes one bytecode instruction into its (unfused) extended opcode.
+/// Decodes one bytecode instruction into its extended opcode.
 ExtOp decodeExtOp(const Instr &In) {
   switch (In.Op) {
   case Opcode::LoadConst: return ExtOp::LoadConst;
@@ -1598,91 +1598,17 @@ ExtOp decodeExtOp(const Instr &In) {
   return ExtOp::Halt;
 }
 
-/// The specialization of fused-bin family \p AddBase for bin operation
-/// \p Aux; each family's enum block mirrors VmBinOp order.
-ExtOp binFam(ExtOp AddBase, uint8_t Aux) {
-  return static_cast<ExtOp>(static_cast<uint8_t>(AddBase) + Aux);
-}
-
-/// The superinstruction an adjacent (A, B) pair fuses into, or nullopt.
-/// The candidate set is the head of OpcodeProfile::topPairs on the real
-/// synthesized workload (40-kernel corpus, 71.6M dynamic instructions):
-/// ldc+bin 24.2%, bin+mov 12.5%, bin+ldc 10.9%, mov+ldc 7.4%, bin+bin
-/// 7.2%, mov+bin 6.1%, cast+mov 4.3%, bin+jz 3.4%, mov+jmp 3.3%, plus
-/// the memory pairs ld+bin, bin+ld and bin+st and the call/mov plumbing
-/// pairs mov+mov and call+mov. A BinOp constituent selects the
-/// per-operation specialization of its family (for bin+bin, of the
-/// first operation); the operation switch is resolved here, at fusion
-/// time, never in the dispatch loop.
-std::optional<ExtOp> fusionFor(const Instr &A, const Instr &B) {
-  switch (A.Op) {
-  case Opcode::LoadConst:
-    if (B.Op == Opcode::BinOp)
-      return binFam(ExtOp::FuseLdcBin_Add, B.Aux);
-    break;
-  case Opcode::LoadMem:
-    if (B.Op == Opcode::BinOp)
-      return binFam(ExtOp::FuseLdBin_Add, B.Aux);
-    break;
-  case Opcode::BinOp:
-    switch (B.Op) {
-    case Opcode::LoadMem: return binFam(ExtOp::FuseBinLd_Add, A.Aux);
-    case Opcode::StoreMem: return binFam(ExtOp::FuseBinSt_Add, A.Aux);
-    case Opcode::Mov: return binFam(ExtOp::FuseBinMov_Add, A.Aux);
-    case Opcode::Jz: return binFam(ExtOp::FuseBinJz_Add, A.Aux);
-    case Opcode::Jnz: return binFam(ExtOp::FuseBinJnz_Add, A.Aux);
-    case Opcode::LoadConst: return binFam(ExtOp::FuseBinLdc_Add, A.Aux);
-    case Opcode::BinOp: return binFam(ExtOp::FuseBinBin_Add, A.Aux);
-    default: break;
-    }
-    break;
-  case Opcode::Mov:
-    switch (B.Op) {
-    case Opcode::LoadConst: return ExtOp::FuseMovLdc;
-    case Opcode::Mov: return ExtOp::FuseMovMov;
-    case Opcode::BinOp: return binFam(ExtOp::FuseMovBin_Add, B.Aux);
-    case Opcode::Jmp: return ExtOp::FuseMovJmp;
-    default: break;
-    }
-    break;
-  case Opcode::Cast:
-    if (B.Op == Opcode::Mov)
-      return ExtOp::FuseCastMov;
-    break;
-  case Opcode::CallB:
-    if (B.Op == Opcode::Mov)
-      return ExtOp::FuseCallMov;
-    break;
-  default:
-    break;
-  }
-  return std::nullopt;
-}
-
 } // namespace
 
-void vm::prepareExecProgram(const CompiledKernel &K, bool Fuse,
-                            ExecProgram &Out) {
+void vm::prepareExecProgram(const CompiledKernel &K, ExecProgram &Out) {
   size_t N = K.Code.size();
-  Out.Code.clear();
   Out.Code.resize(N + 1); // +1: sentinel Halt (jump target == N is legal).
-  Out.FusedPairs = 0;
   Out.BranchSiteCount = 0;
-
-  // Jump targets, for fusion legality and branch-site numbering. The
-  // dense pc-order numbering of Jz/Jnz sites must match what the
-  // reference switch loop resolves, so divergence stats are identical.
-  std::vector<uint8_t> IsTarget(N + 1, 0);
-  for (const Instr &In : K.Code)
-    if (In.Op == Opcode::Jmp || In.Op == Opcode::Jz || In.Op == Opcode::Jnz)
-      IsTarget[In.Imm] = 1;
-
   for (size_t I = 0; I < N; ++I) {
     ExecInstr &E = Out.Code[I];
     const Instr &In = K.Code[I];
     E.Ext = static_cast<uint8_t>(decodeExtOp(In));
-    E.I1 = In;
-    E.I2 = Instr();
+    E.I = In;
     E.BranchSite = -1;
     if (In.Op == Opcode::Jz || In.Op == Opcode::Jnz)
       E.BranchSite = Out.BranchSiteCount++;
@@ -1690,31 +1616,6 @@ void vm::prepareExecProgram(const CompiledKernel &K, bool Fuse,
   ExecInstr &Sentinel = Out.Code[N];
   Sentinel.Ext = static_cast<uint8_t>(ExtOp::Halt);
   Sentinel.BranchSite = -1;
-  Sentinel.I1 = Instr();
-  Sentinel.I1.Op = Opcode::Halt;
-  Sentinel.I2 = Instr();
-
-  if (!Fuse)
-    return;
-
-  // Greedy left-to-right peephole: rewrite slot I into the fused form
-  // and skip past its shadowed partner. Never fuse across a jump
-  // target — control can enter at I+1, where the original decoded slot
-  // must still be live (slots map 1:1 to bytecode pcs).
-  for (size_t I = 0; I + 1 < N; ++I) {
-    if (IsTarget[I + 1])
-      continue;
-    const Instr &A = K.Code[I];
-    const Instr &B = K.Code[I + 1];
-    auto Fused = fusionFor(A, B);
-    if (!Fused)
-      continue;
-    ExecInstr &E = Out.Code[I];
-    E.Ext = static_cast<uint8_t>(*Fused);
-    E.I2 = B;
-    // Compare-branch fusions own the branch constituent's site index.
-    E.BranchSite = Out.Code[I + 1].BranchSite;
-    ++Out.FusedPairs;
-    ++I; // The pair is consumed; its second slot is now unreachable.
-  }
+  Sentinel.I = Instr();
+  Sentinel.I.Op = Opcode::Halt;
 }

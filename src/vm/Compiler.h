@@ -14,11 +14,9 @@
 ///
 /// The second lowering stage lives here too: prepareExecProgram turns
 /// CompiledKernel bytecode into the dispatch-resolved execution form the
-/// threaded interpreter runs (vm/Interpreter.cpp) — binary operations
-/// are specialized into per-operation extended opcodes, conditional
-/// branches carry their dense divergence-site index, and (optionally)
-/// the profile-guided peephole fusion pass rewrites the hottest dynamic
-/// opcode pairs into superinstructions.
+/// interpreter runs (vm/Interpreter.cpp) — binary operations are
+/// specialized into per-operation extended opcodes and conditional
+/// branches carry their dense divergence-site index.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,27 +34,14 @@ namespace vm {
 // Dispatch-resolved execution form
 //===----------------------------------------------------------------------===//
 
-/// The 20 per-operation specializations of a fused-bin family, in
-/// exact VmBinOp order: decode maps the bin constituent's Aux by
-/// offset from the family's _Add entry. Specializing the operation
-/// into the opcode (rather than switching on Aux at run time) is what
-/// makes fusion profitable — a shared operation switch re-concentrates
-/// the data-dependent indirect branch that per-op handlers exist to
-/// spread out.
-#define CLGS_VM_FUSED_BIN_OPS(X, Fam)                                          \
-  X(Fam##_Add) X(Fam##_Sub) X(Fam##_Mul) X(Fam##_DivF) X(Fam##_DivI)           \
-  X(Fam##_RemI) X(Fam##_RemF) X(Fam##_Shl) X(Fam##_Shr) X(Fam##_And)           \
-  X(Fam##_Or) X(Fam##_Xor) X(Fam##_Lt) X(Fam##_Le) X(Fam##_Gt)                 \
-  X(Fam##_Ge) X(Fam##_Eq) X(Fam##_Ne) X(Fam##_MinI) X(Fam##_MaxI)
-
 /// Extended opcodes of the execution form. The X-macro keeps the enum,
 /// the computed-goto label table and the portable switch in lockstep:
 /// the interpreter instantiates one handler body per entry, so adding
 /// an entry without a handler fails to compile.
 ///
-/// Order matters twice: the Bin* block and every fused-bin family
-/// block must mirror VmBinOp exactly (decode maps the Aux by offset),
-/// and the interpreter's label table is indexed by the enum value.
+/// Order matters twice: the Bin* block must mirror VmBinOp exactly
+/// (decode maps the Aux by offset), and the interpreter's label table
+/// is indexed by the enum value.
 #define CLGS_VM_EXT_OPS(X)                                                     \
   X(LoadConst) X(Mov)                                                          \
   X(BinAdd) X(BinSub) X(BinMul) X(BinDivF) X(BinDivI) X(BinRemI)               \
@@ -65,18 +50,7 @@ namespace vm {
   X(BinMinI) X(BinMaxI)                                                        \
   X(UnOp) X(Cast) X(Broadcast) X(Swizzle) X(InsertLanes) X(BuildVec)           \
   X(LoadMem) X(StoreMem) X(VLoad) X(VStore) X(CallB) X(Atomic)                 \
-  X(Jmp) X(Jz) X(Jnz) X(Barrier) X(Halt)                                       \
-  CLGS_VM_FUSED_BIN_OPS(X, FuseLdcBin)                                         \
-  CLGS_VM_FUSED_BIN_OPS(X, FuseLdBin)                                          \
-  CLGS_VM_FUSED_BIN_OPS(X, FuseMovBin)                                         \
-  CLGS_VM_FUSED_BIN_OPS(X, FuseBinLd)                                          \
-  CLGS_VM_FUSED_BIN_OPS(X, FuseBinSt)                                          \
-  CLGS_VM_FUSED_BIN_OPS(X, FuseBinMov)                                         \
-  CLGS_VM_FUSED_BIN_OPS(X, FuseBinJz)                                          \
-  CLGS_VM_FUSED_BIN_OPS(X, FuseBinJnz)                                         \
-  CLGS_VM_FUSED_BIN_OPS(X, FuseBinLdc)                                         \
-  CLGS_VM_FUSED_BIN_OPS(X, FuseBinBin)                                         \
-  X(FuseMovLdc) X(FuseMovMov) X(FuseMovJmp) X(FuseCastMov) X(FuseCallMov)
+  X(Jmp) X(Jz) X(Jnz) X(Barrier) X(Halt)
 
 enum class ExtOp : uint8_t {
 #define CLGS_VM_EXT_ENUM(Name) Name,
@@ -84,51 +58,32 @@ enum class ExtOp : uint8_t {
 #undef CLGS_VM_EXT_ENUM
 };
 
-constexpr size_t NumExtOps = static_cast<size_t>(ExtOp::FuseCallMov) + 1;
-static_assert(NumExtOps <= 256, "ExtOp must stay a uint8_t dispatch index");
+constexpr size_t NumExtOps = static_cast<size_t>(ExtOp::Halt) + 1;
 
-/// One slot of the execution form. Fused superinstructions keep BOTH
-/// constituent Instrs (I1 then I2) so trap handling, counters and
-/// memory helpers run the exact unfused semantics per constituent.
+/// One slot of the execution form: the bytecode instruction plus its
+/// resolved handler.
 struct ExecInstr {
   /// Index into the interpreter's handler table.
   uint8_t Ext = 0;
-  /// Dense divergence-site index for Jz/Jnz (for fused compare-branches,
-  /// the site of the branch constituent); -1 elsewhere. Matches the
-  /// site numbering the reference switch loop resolves at launch.
+  /// Dense divergence-site index for Jz/Jnz (pc order); -1 elsewhere.
   int32_t BranchSite = -1;
-  Instr I1;
-  Instr I2;
+  Instr I;
 };
 
 /// The dispatch-resolved program prepareExecProgram builds at launch.
-/// Code keeps a 1:1 slot-per-original-pc mapping: a fused pair occupies
-/// the first constituent's slot and advances the pc by 2, while the
-/// second constituent's slot stays decoded-but-unreachable. Jump
-/// targets and barrier-resume pcs therefore need no remapping, which is
-/// what makes fusion legality purely local (never fuse when the second
-/// instruction is a jump target). Code has one extra trailing Halt
-/// sentinel slot so a jump to Code.size() — which verifyKernel permits —
-/// halts instead of running off the program.
+/// Code maps 1:1 onto bytecode pcs, so jump targets and barrier-resume
+/// pcs need no remapping. Code has one extra trailing Halt sentinel slot
+/// so a jump to Code.size() — which verifyKernel permits — halts
+/// instead of running off the program.
 struct ExecProgram {
   std::vector<ExecInstr> Code;
-  /// Superinstructions formed (0 when fusion was off or nothing fused).
-  size_t FusedPairs = 0;
   /// Conditional-branch sites numbered (Jz/Jnz in pc order).
   int BranchSiteCount = 0;
 };
 
 /// Lowers \p K (which must satisfy verifyKernel) into \p Out, reusing
-/// Out's storage across launches. With \p Fuse, runs the peephole
-/// superinstruction pass over the pairs the opcode profiler ranks
-/// hottest on the real synthesized workload: LoadConst+BinOp,
-/// LoadMem+BinOp, BinOp+StoreMem, the BinOp+Jz/Jnz compare-branch
-/// fusions, and the remaining head of topPairs (BinOp+Mov,
-/// BinOp+LoadMem, BinOp+LoadConst, Mov+LoadConst, Mov+Mov, Mov+BinOp,
-/// BinOp+BinOp, Cast+Mov, CallB+Mov, Mov+Jmp). Pairs involving a
-/// BinOp fuse into the per-operation specialization of their family.
-void prepareExecProgram(const CompiledKernel &K, bool Fuse,
-                        ExecProgram &Out);
+/// Out's storage across launches.
+void prepareExecProgram(const CompiledKernel &K, ExecProgram &Out);
 
 /// Compiles kernel \p Kernel of program \p P (which must have passed
 /// ocl::analyze). On failure returns a diagnostic; constructs the paper's

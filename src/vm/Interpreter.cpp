@@ -17,8 +17,8 @@
 
 /// Computed-goto (label-address-table) dispatch is a GCC/Clang extension;
 /// CLGS_FORCE_SWITCH_DISPATCH (cmake -DCLGS_FORCE_SWITCH_DISPATCH=ON)
-/// disables it so CI can exercise the portable fallback loop on
-/// compilers that do have the extension.
+/// disables it so the portable switch loop can be tested on compilers
+/// that do have the extension.
 #if (defined(__GNUC__) || defined(__clang__)) &&                               \
     !defined(CLGS_FORCE_SWITCH_DISPATCH)
 #define CLGS_VM_COMPUTED_GOTO 1
@@ -73,11 +73,8 @@ double wrapToScalarKind(double X, Scalar S) {
   return X;
 }
 
-// Forced inline so every caller — including each fused-handler
-// expansion of CLGS_FUSED_BIN in InterpreterExecLoop.inc — gets its own
-// copy of the operation switch. A single shared switch concentrates
-// every binop's data-dependent indirect branch in one site; per-site
-// copies let the BTB learn each site's local operation mix.
+// Forced inline so a caller passing a constant operation (each
+// specialized binop handler's vector path) folds the switch away.
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((always_inline))
 #endif
@@ -114,15 +111,14 @@ inline double evalBinLane(VmBinOp Op, double A, double B) {
 }
 
 //===----------------------------------------------------------------------===//
-// Register-file write helpers (threaded dispatch)
+// Register-file write helpers
 //===----------------------------------------------------------------------===//
 //
-// The reference switch loop writes results by assigning a fresh
-// zero-initialised Value, so lanes at or beyond a register's Width are
-// always zero. The threaded loop exploits that invariant with partial
-// writes: only live lanes are stored, and previously-live lanes beyond
-// the new width are re-zeroed, keeping the observable register file
-// byte-identical to full-Value assignment.
+// Lanes at or beyond a register's Width are always zero, as assigning a
+// fresh zero-initialised Value leaves them. These partial writes keep
+// that invariant cheaply: only live lanes are stored, and
+// previously-live lanes beyond the new width are re-zeroed, so the
+// register file is byte-identical to full-Value assignment.
 
 inline void setScalar(Value &D, double X) {
   int OldW = D.Width;
@@ -142,7 +138,7 @@ inline void copyValue(Value &D, const Value &S) {
 }
 
 /// Commits a result computed into a scratch lane buffer (which makes
-/// Dst-aliases-source safe, same as the switch loop's local Value).
+/// Dst-aliases-source safe).
 inline void writeLanes(Value &D, const double *Tmp, int W) {
   int OldW = D.Width;
   for (int L = 0; L < W; ++L)
@@ -152,26 +148,9 @@ inline void writeLanes(Value &D, const double *Tmp, int W) {
   D.Width = static_cast<uint8_t>(W);
 }
 
-/// Cast semantics shared by the threaded Cast handler and the Cast+Mov
-/// superinstruction; verbatim the reference loop's Cast case.
-inline void castValue(Value *Regs, const Instr &I) {
-  const Value &A = Regs[I.A];
-  Value R;
-  R.Width = A.Width;
-  auto S2 = static_cast<Scalar>(I.Aux);
-  for (int L = 0; L < R.Width; ++L) {
-    double X = A.Lanes[L];
-    // Float -> integer conversion truncates toward zero.
-    if (S2 != Scalar::Float && S2 != Scalar::Double && S2 != Scalar::Half)
-      X = std::trunc(X);
-    R.Lanes[L] = wrapToScalarKind(X, S2);
-  }
-  Regs[I.Dst] = R;
-}
-
-/// Vector (or mixed-width) slow path behind the specialized scalar
-/// binop handlers. Only non-trapping operations reach this (DivI/RemI
-/// dispatch through Engine::execBinInstr for the TrapDivZero check).
+/// Any-width binop: the vector (or mixed-width) slow path behind the
+/// specialized scalar handlers, and DivI/RemI once their divisor is
+/// checked (Engine::execIntDivision).
 inline void binOpVector(Value *Regs, const Instr &I, VmBinOp Op) {
   const Value &A = Regs[I.A];
   const Value &B = Regs[I.B];
@@ -206,7 +185,7 @@ struct ItemState {
   size_t Gid[3] = {0, 0, 0};
   size_t Lid[3] = {0, 0, 0};
   /// Previously executed opcode of THIS item (-1 = none yet), so the
-  /// opcode-pair profile never fuses across work-items even when the
+  /// opcode-pair profile never pairs across work-items even when the
   /// barrier path interleaves their execution.
   int16_t PrevOp = -1;
 };
@@ -219,12 +198,12 @@ struct ExecScratch {
   GroupContext Group;
   ItemState Single;
   std::vector<ItemState> States;
-  /// Dispatch-resolved execution form for Threaded/ThreadedFused
-  /// launches; storage recycled across launches.
+  /// Dispatch-resolved execution form; storage recycled across
+  /// launches.
   ExecProgram Prog;
 };
 
-enum class StepOutcome { Continue, AtBarrier, Halted, Error };
+enum class StepOutcome { AtBarrier, Halted, Error };
 
 class Engine {
 public:
@@ -250,22 +229,12 @@ private:
   std::vector<size_t> LocalParamSizes;
   /// Scalar param preloads.
   std::vector<std::pair<uint16_t, Value>> ScalarPreloads;
-  /// Pc of a conditional branch -> dense branch-site index, resolved
-  /// once at launch so the dispatch loop never touches a hash map.
-  std::vector<int32_t> BranchSiteOf;
-  int BranchSiteCount = 0;
   size_t GroupCount[3] = {1, 1, 1};
   size_t GroupId[3] = {0, 0, 0};
   TrapKind ErrKind = TrapKind::Unknown;
   std::chrono::steady_clock::time_point Start;
-  /// Non-null when this launch runs the dispatch-resolved execution
-  /// form (Threaded/ThreadedFused) instead of the reference switch loop.
-  const ExecInstr *ExecCode = nullptr;
   /// Instruction count at which the wall-clock watchdog samples next;
-  /// UINT64_MAX when the watchdog is disabled. Deadline-based (>=)
-  /// rather than a mask test so dispatch strategies retiring more than
-  /// one instruction per step (superinstructions) can never stride over
-  /// a sample point.
+  /// UINT64_MAX when the watchdog is disabled.
   uint64_t WatchdogNext = UINT64_MAX;
 
   bool fail(const std::string &Message) {
@@ -348,213 +317,31 @@ private:
     return true;
   }
 
-  //===------------------------------------------------------------------===//
-  // Instruction stepping
-  //===------------------------------------------------------------------===//
-
-  StepOutcome step(ItemState &S, GroupContext &G) {
-    if (C.Instructions >= Config.MaxInstructions) {
-      fail(TrapKind::InstructionBudget,
-           "kernel exceeded instruction budget (timeout)");
-      return StepOutcome::Error;
-    }
-    // The wall-clock watchdog is sampled every 32768 instructions so the
-    // hot dispatch loop pays one predictable branch when it is disabled
-    // (WatchdogNext stays at UINT64_MAX).
-    if (C.Instructions >= WatchdogNext && !watchdogSampleOk(C.Instructions))
-      return StepOutcome::Error;
-    const Instr &I = K.Code[S.Pc];
-    ++C.Instructions;
-    if (OpcodeProfile *Prof = Config.Profile) {
-      size_t OpIdx = static_cast<size_t>(I.Op);
-      ++Prof->Count[OpIdx];
-      if (S.PrevOp >= 0)
-        ++Prof->Pair[S.PrevOp][OpIdx];
-      S.PrevOp = static_cast<int16_t>(OpIdx);
-    }
-    switch (I.Op) {
-    case Opcode::LoadConst:
-      S.Regs[I.Dst] = K.Consts[I.Imm];
-      break;
-    case Opcode::Mov:
-      S.Regs[I.Dst] = S.Regs[I.A];
-      break;
-    case Opcode::BinOp: {
-      ++C.ComputeOps;
-      const Value &A = S.Regs[I.A];
-      const Value &B = S.Regs[I.B];
-      Value R;
-      R.Width = std::max(A.Width, B.Width);
-      auto Op = static_cast<VmBinOp>(I.Aux);
-      if (Config.TrapDivZero &&
-          (Op == VmBinOp::DivI || Op == VmBinOp::RemI)) {
-        for (int L = 0; L < R.Width; ++L)
-          if (toInt(B.Lanes[B.Width == 1 ? 0 : L]) == 0) {
-            fail(TrapKind::DivByZero, "integer division by zero");
-            return StepOutcome::Error;
-          }
-      }
-      for (int L = 0; L < R.Width; ++L)
-        R.Lanes[L] = evalBinLane(Op, A.Lanes[A.Width == 1 ? 0 : L],
-                                 B.Lanes[B.Width == 1 ? 0 : L]);
-      S.Regs[I.Dst] = R;
-      break;
-    }
-    case Opcode::UnOp: {
-      ++C.ComputeOps;
-      const Value &A = S.Regs[I.A];
-      Value R;
-      R.Width = A.Width;
-      for (int L = 0; L < R.Width; ++L) {
-        switch (static_cast<VmUnOp>(I.Aux)) {
-        case VmUnOp::Neg: R.Lanes[L] = -A.Lanes[L]; break;
-        case VmUnOp::BitNot:
-          R.Lanes[L] = static_cast<double>(~toInt(A.Lanes[L]));
-          break;
-        case VmUnOp::LogicNot:
-          R.Lanes[L] = A.Lanes[L] == 0.0 ? 1.0 : 0.0;
-          break;
-        }
-      }
-      S.Regs[I.Dst] = R;
-      break;
-    }
-    case Opcode::Cast: {
-      ++C.ComputeOps;
-      const Value &A = S.Regs[I.A];
-      Value R;
-      R.Width = A.Width;
-      auto S2 = static_cast<Scalar>(I.Aux);
-      for (int L = 0; L < R.Width; ++L) {
-        double X = A.Lanes[L];
-        // Float -> integer conversion truncates toward zero.
-        if (S2 != Scalar::Float && S2 != Scalar::Double && S2 != Scalar::Half)
-          X = std::trunc(X);
-        R.Lanes[L] = wrapToScalarKind(X, S2);
-      }
-      S.Regs[I.Dst] = R;
-      break;
-    }
-    case Opcode::Broadcast:
-      S.Regs[I.Dst] =
-          Value::splat(S.Regs[I.A].x(), static_cast<uint8_t>(I.B));
-      break;
-    case Opcode::Swizzle: {
-      const Value &A = S.Regs[I.A];
-      const auto &Mask = K.Masks[I.Imm];
-      Value R;
-      R.Width = static_cast<uint8_t>(Mask.size());
-      for (size_t L = 0; L < Mask.size(); ++L)
-        R.Lanes[L] = A.Lanes[Mask[L]];
-      S.Regs[I.Dst] = R;
-      break;
-    }
-    case Opcode::InsertLanes: {
-      Value &D = S.Regs[I.Dst];
-      const Value &B = S.Regs[I.B];
-      const auto &Mask = K.Masks[I.Imm];
-      for (size_t L = 0; L < Mask.size(); ++L)
-        D.Lanes[Mask[L]] = B.Lanes[B.Width == 1 ? 0 : L];
-      break;
-    }
-    case Opcode::BuildVec: {
-      const auto &Regs = K.ArgLists[I.Imm];
-      Value R;
-      R.Width = static_cast<uint8_t>(Regs.size());
-      for (size_t L = 0; L < Regs.size(); ++L)
-        R.Lanes[L] = S.Regs[Regs[L]].x();
-      S.Regs[I.Dst] = R;
-      break;
-    }
-    case Opcode::LoadMem:
-    case Opcode::StoreMem:
-      if (!execMemAccess(S, G, I))
-        return StepOutcome::Error;
-      break;
-    case Opcode::VLoad:
-    case Opcode::VStore:
-      if (!execVectorAccess(S, G, I))
-        return StepOutcome::Error;
-      break;
-    case Opcode::CallB:
-      if (!execBuiltin(S, I))
-        return StepOutcome::Error;
-      break;
-    case Opcode::Atomic:
-      if (!execAtomic(S, G, I))
-        return StepOutcome::Error;
-      break;
-    case Opcode::Jmp:
-      S.Pc = static_cast<size_t>(I.Imm);
-      return StepOutcome::Continue;
-    case Opcode::Jz:
-    case Opcode::Jnz: {
-      ++C.Branches;
-      bool Taken = (S.Regs[I.A].x() == 0.0) == (I.Op == Opcode::Jz);
-      BranchStats &BS = G.BranchSites[BranchSiteOf[S.Pc]];
-      BS.Total += 1;
-      BS.Taken += Taken;
-      if (Taken) {
-        S.Pc = static_cast<size_t>(I.Imm);
-        return StepOutcome::Continue;
-      }
-      break;
-    }
-    case Opcode::Barrier:
-      ++C.Barriers;
-      ++S.Pc;
-      return StepOutcome::AtBarrier;
-    case Opcode::Halt:
-      S.Done = true;
-      return StepOutcome::Halted;
-    }
-    ++S.Pc;
-    return StepOutcome::Continue;
-  }
-
-  /// Full BinOp semantics for the threaded loop: shared by the DivI and
-  /// RemI handlers (TrapDivZero check) and by every fused handler's
-  /// BinOp constituent. Mirrors the switch loop's BinOp case exactly,
-  /// including the ComputeOps increment preceding the trap.
-  bool execBinInstr(Value *Regs, const Instr &I) {
+  /// DivI/RemI: under TrapDivZero a zero divisor lane traps (after
+  /// ComputeOps counts the operation); otherwise x/0 == x%0 == 0.
+  bool execIntDivision(Value *Regs, const Instr &I) {
     ++C.ComputeOps;
-    const Value &A = Regs[I.A];
     const Value &B = Regs[I.B];
-    auto Op = static_cast<VmBinOp>(I.Aux);
-    if ((A.Width | B.Width) == 1) {
-      const double Av = A.Lanes[0];
-      const double Bv = B.Lanes[0];
-      if (Config.TrapDivZero &&
-          (Op == VmBinOp::DivI || Op == VmBinOp::RemI) && toInt(Bv) == 0)
-        return fail(TrapKind::DivByZero, "integer division by zero");
-      setScalar(Regs[I.Dst], evalBinLane(Op, Av, Bv));
-      return true;
-    }
-    int W = std::max(A.Width, B.Width);
-    if (Config.TrapDivZero && (Op == VmBinOp::DivI || Op == VmBinOp::RemI)) {
+    if (Config.TrapDivZero) {
+      int W = std::max(Regs[I.A].Width, B.Width);
       for (int L = 0; L < W; ++L)
         if (toInt(B.Lanes[B.Width == 1 ? 0 : L]) == 0)
           return fail(TrapKind::DivByZero, "integer division by zero");
     }
-    double Tmp[16];
-    for (int L = 0; L < W; ++L)
-      Tmp[L] = evalBinLane(Op, A.Lanes[A.Width == 1 ? 0 : L],
-                           B.Lanes[B.Width == 1 ? 0 : L]);
-    writeLanes(Regs[I.Dst], Tmp, W);
+    binOpVector(Regs, I, static_cast<VmBinOp>(I.Aux));
     return true;
   }
 
   //===------------------------------------------------------------------===//
-  // Threaded dispatch over the execution form
+  // The execution loop
   //===------------------------------------------------------------------===//
 
-  /// The exec loops are two instantiations of the same handler bodies
+  /// Two instantiations of the same handler bodies
   /// (vm/InterpreterExecLoop.inc): a computed-goto label-address table
-  /// on GCC/Clang, and a structurally identical portable switch. The
-  /// portable loop is always compiled (so it cannot rot) but only
-  /// dispatched to when computed goto is unavailable or forced off.
-  [[maybe_unused]] StepOutcome runItemExecSwitch(ItemState &S,
-                                                 GroupContext &G);
+  /// on GCC/Clang, and a portable switch. The switch loop is always
+  /// compiled and carries the opcode-profile hook, so it runs profiled
+  /// launches and every launch of a build without computed goto.
+  StepOutcome runItemExecSwitch(ItemState &S, GroupContext &G);
 #if CLGS_VM_COMPUTED_GOTO
   StepOutcome runItemExecGoto(ItemState &S, GroupContext &G);
 #endif
@@ -942,18 +729,11 @@ private:
 
   /// Runs one item until barrier / halt / error.
   StepOutcome runUntilPause(ItemState &S, GroupContext &G) {
-    if (ExecCode) {
 #if CLGS_VM_COMPUTED_GOTO
+    if (!Config.Profile)
       return runItemExecGoto(S, G);
-#else
-      return runItemExecSwitch(S, G);
 #endif
-    }
-    for (;;) {
-      StepOutcome O = step(S, G);
-      if (O != StepOutcome::Continue)
-        return O;
-    }
+    return runItemExecSwitch(S, G);
   }
 
   bool runGroup(GroupContext &G) {
@@ -972,7 +752,7 @@ private:
       G.LocalBuffers[BI].assign(Elems * LB.ElemWidth, 0.0);
     }
     // Zero the per-group branch statistics in place.
-    G.BranchSites.assign(BranchSiteCount, BranchStats());
+    G.BranchSites.assign(Scratch.Prog.BranchSiteCount, BranchStats());
 
     auto ItemCoords = [&](size_t Linear, size_t &LidX, size_t &LidY,
                           size_t &LidZ) {
@@ -1053,9 +833,8 @@ public:
                                          TrapKind::Injected);
     CLGS_FAILPOINT_STALL("vm.stall", 0);
     // Malformed or corrupted bytecode (out-of-range Aux operands, bad
-    // widths, wild jump targets) classifies as BadLaunch here, in every
-    // dispatch mode, instead of hitting an unhandled enum cast
-    // mid-execution.
+    // widths, wild jump targets) classifies as BadLaunch here instead of
+    // indexing past the handler table mid-execution.
     std::string Malformed = verifyKernel(K);
     if (!Malformed.empty())
       return Result<ExecCounters>::error(
@@ -1066,31 +845,7 @@ public:
       ++Config.Profile->Launches;
     WatchdogNext = Config.WatchdogMs != 0 ? 0 : UINT64_MAX;
 
-    // Resolve conditional-branch sites to dense indices once per launch;
-    // the dispatch loop then updates divergence stats with one indexed
-    // load instead of a hash-map lookup per executed branch.
-    BranchSiteOf.assign(K.Code.size(), -1);
-    BranchSiteCount = 0;
-    for (size_t Pc = 0; Pc < K.Code.size(); ++Pc)
-      if (K.Code[Pc].Op == Opcode::Jz || K.Code[Pc].Op == Opcode::Jnz)
-        BranchSiteOf[Pc] = BranchSiteCount++;
-
-    // Resolve the dispatch strategy. Profiling launches always take the
-    // reference switch loop: the per-instruction hook lives only there,
-    // and opcode-pair profiles must see unfused sequences — a profile
-    // collected under fused dispatch would stop ranking exactly the
-    // pairs fusion consumes (a self-extinguishing profiler).
-    DispatchMode Mode = Config.Dispatch;
-    if (Config.Profile)
-      Mode = DispatchMode::Switch;
-    else if (Mode == DispatchMode::Auto)
-      Mode = threadedDispatchAvailable() ? DispatchMode::ThreadedFused
-                                         : DispatchMode::Switch;
-    if (Mode != DispatchMode::Switch) {
-      prepareExecProgram(K, Mode == DispatchMode::ThreadedFused,
-                         Scratch.Prog);
-      ExecCode = Scratch.Prog.Code.data();
-    }
+    prepareExecProgram(K, Scratch.Prog);
 
     for (int D = 0; D < 3; ++D) {
       if (Config.LocalSize[D] == 0 || Config.GlobalSize[D] == 0)
@@ -1160,10 +915,9 @@ public:
   }
 };
 
-// Instantiate the threaded exec loop twice from one handler-body
-// template: the portable switch over ExtOp (always compiled, keeps the
-// fallback from rotting) and the computed-goto loop when the extension
-// is available.
+// Instantiate the execution loop twice from one handler-body template:
+// the portable switch over ExtOp (always compiled) and the computed-goto
+// loop when the extension is available.
 #define CLGS_EXEC_USE_GOTO 0
 #define CLGS_EXEC_FN runItemExecSwitch
 #include "vm/InterpreterExecLoop.inc"
@@ -1183,28 +937,6 @@ public:
 Result<ExecCounters> Engine::run() { return runImpl(); }
 
 bool vm::threadedDispatchAvailable() { return CLGS_VM_COMPUTED_GOTO != 0; }
-
-const char *vm::dispatchModeName(DispatchMode Mode) {
-  switch (Mode) {
-  case DispatchMode::Auto: return "auto";
-  case DispatchMode::Switch: return "switch";
-  case DispatchMode::Threaded: return "threaded";
-  case DispatchMode::ThreadedFused: return "fused";
-  }
-  return "?";
-}
-
-std::optional<DispatchMode> vm::parseDispatchMode(const std::string &Name) {
-  if (Name == "auto")
-    return DispatchMode::Auto;
-  if (Name == "switch")
-    return DispatchMode::Switch;
-  if (Name == "threaded")
-    return DispatchMode::Threaded;
-  if (Name == "fused" || Name == "threaded-fused")
-    return DispatchMode::ThreadedFused;
-  return std::nullopt;
-}
 
 Result<ExecCounters> vm::launchKernel(const CompiledKernel &Kernel,
                                       const std::vector<KernelArg> &Args,

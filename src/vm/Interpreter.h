@@ -26,7 +26,6 @@
 #include "vm/Bytecode.h"
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,39 +34,12 @@ namespace vm {
 
 struct OpcodeProfile;
 
-/// How the interpreter dispatches instructions. Execution results —
-/// survivor buffer bytes, ExecCounters, trap classifications and detail
-/// strings — are bit-identical across every mode (the trap-parity
-/// contract, enforced by DispatchParityTest), so the mode is a pure
-/// speed knob and is excluded from measurement cache keys.
-enum class DispatchMode : uint8_t {
-  /// Fastest available: ThreadedFused when computed goto is compiled
-  /// in, else the portable switch loop.
-  Auto,
-  /// The reference switch-dispatch loop over raw bytecode. Profiling
-  /// launches (LaunchConfig::Profile != nullptr) always run here so
-  /// opcode-pair profiles see unfused sequences.
-  Switch,
-  /// Launch-time lowering to a dispatch-resolved execution form
-  /// (vm/Compiler.h prepareExecProgram), executed with a computed-goto
-  /// label-address table on GCC/Clang or a structurally identical
-  /// switch loop elsewhere.
-  Threaded,
-  /// Threaded plus the profile-guided superinstruction fusion pass.
-  ThreadedFused,
-};
-
-/// True when the build dispatches Threaded/ThreadedFused programs with
-/// a computed-goto label-address table (GCC/Clang extension; forced off
-/// by -DCLGS_FORCE_SWITCH_DISPATCH=ON). When false those modes run the
-/// portable fallback loop — same handlers, same results.
+/// True when this build dispatches with a computed-goto label-address
+/// table (GCC/Clang extension; forced off by
+/// -DCLGS_FORCE_SWITCH_DISPATCH=ON). When false the portable switch
+/// instantiation of the same handler bodies runs instead, with the same
+/// results.
 bool threadedDispatchAvailable();
-
-/// Stable lowercase name ("auto", "switch", "threaded", "fused").
-const char *dispatchModeName(DispatchMode Mode);
-
-/// Parses a dispatchModeName() string; nullopt on anything else.
-std::optional<DispatchMode> parseDispatchMode(const std::string &Name);
 
 /// A flat numeric buffer bound to a global buffer parameter.
 struct BufferData {
@@ -143,16 +115,12 @@ struct LaunchConfig {
   /// When non-null, accumulates per-opcode and opcode-pair execution
   /// counts for this launch (vm/Profile.h). Pure observation: never
   /// feeds back into execution or results, and unlike ExecCounters the
-  /// counts stay raw (no MaxWorkGroups scale-up). Costs one predictable
-  /// branch per instruction when null. Not thread-safe: point each
-  /// concurrent launch at its own profile and merge afterwards.
-  /// Profiling launches always execute on the Switch path regardless of
-  /// Dispatch, so opcode-pair counts see the unfused sequences fusion
-  /// candidates are mined from.
+  /// counts stay raw (no MaxWorkGroups scale-up). A profiled launch runs
+  /// the portable switch instantiation of the execution loop, which
+  /// carries the per-instruction hook, so the computed-goto loop pays
+  /// nothing for it. Not thread-safe: point each concurrent launch at
+  /// its own profile and merge afterwards.
   OpcodeProfile *Profile = nullptr;
-  /// Instruction dispatch strategy. Results are bit-identical across
-  /// modes; see DispatchMode.
-  DispatchMode Dispatch = DispatchMode::Auto;
 };
 
 /// Dynamic execution counters for one launch (scaled to the full NDRange

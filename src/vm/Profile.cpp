@@ -58,7 +58,7 @@ std::string vm::formatOpcodeReport(const OpcodeProfile &P, size_t TopN) {
   uint64_t Total = P.instructionTotal();
   std::string Out;
   Out += formatString("vm profile: %llu instructions, %llu branches, "
-                      "%llu launches (unfused switch dispatch)\n",
+                      "%llu launches\n",
                       static_cast<unsigned long long>(Total),
                       static_cast<unsigned long long>(P.branchTotal()),
                       static_cast<unsigned long long>(P.Launches));
@@ -93,7 +93,7 @@ std::string vm::formatOpcodeReport(const OpcodeProfile &P, size_t TopN) {
                         static_cast<unsigned long long>(R.N), Bp(R.N) / 100,
                         Bp(R.N) % 100);
 
-  Out += "top opcode pairs (superinstruction candidates):\n";
+  Out += "top opcode pairs:\n";
   for (const OpcodePairCount &PC : topPairs(P, TopN))
     Out += formatString("  %-6s-> %-6s %12llu  %3u.%02u%%\n",
                         opcodeName(PC.First), opcodeName(PC.Second),

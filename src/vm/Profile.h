@@ -7,13 +7,13 @@
 /// \file
 /// Opt-in dynamic opcode profiling for vm::Interpreter: per-opcode and
 /// opcode-pair execution counts over real launches. The top-N pair
-/// report is the corpus-mining input the threaded-code/superinstruction
-/// roadmap item needs — it names the dynamically hottest dispatch
-/// sequences the synthesized kernels actually execute.
+/// report names the dynamically hottest instruction sequences the
+/// synthesized kernels actually execute.
 ///
-/// The hooks are pointer-gated, not build-gated: `LaunchConfig::Profile
-/// == nullptr` (the default) costs one predictable branch per
-/// instruction and the profile is pure observation — it never feeds
+/// The hook is pointer-gated, not build-gated: a launch with
+/// `LaunchConfig::Profile` set runs the interpreter's portable switch
+/// loop, which holds the hook, so unprofiled computed-goto launches pay
+/// nothing for it. The profile is pure observation — it never feeds
 /// back into execution, measurement cache keys, or results, so
 /// profiling cannot perturb determinism. Counts are raw executed
 /// instructions of the simulated work-groups; unlike ExecCounters they
@@ -48,8 +48,7 @@ struct OpcodeProfile {
   uint64_t Count[NumOpcodes] = {};
   /// Pair[A][B]: times opcode B executed immediately after opcode A
   /// within the same work-item (pairs never cross work-items or
-  /// launches — exactly the fusion candidates a superinstruction can
-  /// legally cover).
+  /// launches).
   uint64_t Pair[NumOpcodes][NumOpcodes] = {};
   /// Launches that contributed (merged-in profiles included).
   uint64_t Launches = 0;

@@ -323,7 +323,7 @@ TEST(PipelineStreamTest, RefillRequestsNeverLoadOrPersist) {
   EXPECT_FALSE(Info.Warm) << "refill request consumed the artifact";
   EXPECT_FALSE(Info.Persisted) << "refill request persisted a kernel set";
   // Counter proof only when telemetry is compiled in (the
-  // check_overhead tree builds with -DCLGS_TELEMETRY=OFF).
+  // check_variants tree builds with -DCLGS_TELEMETRY=OFF).
   if (support::MetricsRegistry::findCounter("clgen.synthesis.attempts")) {
     EXPECT_GT(attemptsCounter(), Before) << "refill request did not sample";
   }

@@ -8,7 +8,7 @@
 // (predict::goldenExperimentOptions) must produce Table 1 and Figure 9
 // report bytes IDENTICAL to the files checked in under tests/golden/,
 // for every scheduling configuration — worker counts {1, 2, hardware},
-// VM dispatch {switch, fused}, cold compute and warm store load. Any
+// cold compute and warm store load. Any
 // semantic drift in synthesis, measurement, feature extraction, fold
 // assignment, tree training or report rendering shows up here as a
 // byte diff.
@@ -75,16 +75,12 @@ private:
 struct MatrixEntry {
   const char *Name;
   unsigned Workers;
-  vm::DispatchMode Dispatch;
 };
 
 const MatrixEntry Matrix[] = {
-    {"w1-switch", 1, vm::DispatchMode::Switch},
-    {"w2-switch", 2, vm::DispatchMode::Switch},
-    {"whw-switch", 0, vm::DispatchMode::Switch},
-    {"w1-fused", 1, vm::DispatchMode::ThreadedFused},
-    {"w2-fused", 2, vm::DispatchMode::ThreadedFused},
-    {"whw-fused", 0, vm::DispatchMode::ThreadedFused},
+    {"w1", 1},
+    {"w2", 2},
+    {"whw", 0},
 };
 
 ExperimentOptions matrixOptions(const MatrixEntry &E) {
@@ -93,7 +89,6 @@ ExperimentOptions matrixOptions(const MatrixEntry &E) {
   Opts.KFold.Workers = E.Workers;
   Opts.Streaming.Synthesis.Workers = E.Workers;
   Opts.Streaming.MeasureWorkers = E.Workers;
-  Opts.Streaming.Driver.Dispatch = E.Dispatch;
   return Opts;
 }
 

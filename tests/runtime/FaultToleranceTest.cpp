@@ -4,15 +4,13 @@
 // the measurement path: every rejection class maps to its TrapKind, the
 // wall-clock watchdog catches hangs the instruction budget cannot, the
 // opt-in div-by-zero trap changes kernel-visible semantics, and the
-// retry wrapper retries exactly the transient classes. Injection-driven
-// retry coverage arms real failpoints and is skipped in builds that
-// compiled the sites out.
+// retry wrapper retries exactly the transient classes. The tests that
+// arm real failpoints are in tests/failpoints/FaultToleranceInjectionTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/HostDriver.h"
 
-#include "support/FailPoint.h"
 #include "support/Trap.h"
 #include "vm/Compiler.h"
 
@@ -209,108 +207,6 @@ TEST(FaultToleranceTest, SuccessTakesOneAttempt) {
       amdPlatform(), smallOpts(), &Attempts);
   ASSERT_TRUE(M.ok()) << M.errorMessage();
   EXPECT_EQ(Attempts, 1u);
-}
-
-TEST(FaultToleranceTest, TransientInjectedFaultClearsOnRetry) {
-  if (!support::FailPoints::sitesCompiledIn())
-    GTEST_SKIP() << "failpoint sites compiled out (-DCLGS_FAILPOINTS=OFF)";
-  // One guaranteed fire at the payload site, then the cap stops
-  // injection: attempt 1 fails transiently, attempt 2 measures.
-  support::FailPlan Plan;
-  Plan.Probability = 1.0;
-  Plan.MaxFiresPerSite = 1;
-  Plan.Sites = {"runtime.payload"};
-  support::FailPoints::arm(Plan);
-  uint32_t Attempts = 0;
-  auto M = runBenchmarkWithRetry(
-      compile("__kernel void ok(__global float* a, const int n) {\n"
-              "  int i = get_global_id(0);\n"
-              "  if (i < n) { a[i] = a[i] + 1.0f; }\n"
-              "}\n"),
-      amdPlatform(), smallOpts(), &Attempts);
-  support::FailPoints::disarm();
-  ASSERT_TRUE(M.ok()) << M.errorMessage();
-  EXPECT_EQ(Attempts, 2u);
-
-  // With retries disabled the same schedule is a hard failure.
-  support::FailPoints::arm(Plan);
-  DriverOptions NoRetry = smallOpts();
-  NoRetry.MaxRetries = 0;
-  auto Hard = runBenchmarkWithRetry(
-      compile("__kernel void ok(__global float* a, const int n) {\n"
-              "  int i = get_global_id(0);\n"
-              "  if (i < n) { a[i] = a[i] + 1.0f; }\n"
-              "}\n"),
-      amdPlatform(), NoRetry, &Attempts);
-  support::FailPoints::disarm();
-  ASSERT_FALSE(Hard.ok());
-  EXPECT_EQ(Hard.trap(), TrapKind::Injected);
-  EXPECT_EQ(Attempts, 1u);
-}
-
-TEST(FaultToleranceTest, InjectedStallTripsWatchdog) {
-  if (!support::FailPoints::sitesCompiledIn())
-    GTEST_SKIP() << "failpoint sites compiled out (-DCLGS_FAILPOINTS=OFF)";
-  // The vm.stall site sleeps past the watchdog budget; the launch must
-  // come back classified as a timeout rather than wedging.
-  support::FailPlan Plan;
-  Plan.Probability = 1.0;
-  Plan.StallMs = 50;
-  Plan.Sites = {"vm.stall"};
-  support::FailPoints::arm(Plan);
-  DriverOptions Opts = smallOpts();
-  Opts.WatchdogMs = 10;
-  auto M = runBenchmark(
-      compile("__kernel void ok(__global float* a, const int n) {\n"
-              "  int i = get_global_id(0);\n"
-              "  if (i < n) { a[i] = a[i] + 1.0f; }\n"
-              "}\n"),
-      amdPlatform(), Opts);
-  support::FailPoints::disarm();
-  ASSERT_FALSE(M.ok());
-  EXPECT_EQ(M.trap(), TrapKind::WatchdogTimeout);
-}
-
-TEST(FaultToleranceTest, StallInsideFusedHandlerTripsWatchdog) {
-  if (!support::FailPoints::sitesCompiledIn())
-    GTEST_SKIP() << "failpoint sites compiled out (-DCLGS_FAILPOINTS=OFF)";
-  // Regression for the watchdog cadence under superinstruction dispatch:
-  // fused handlers retire two instructions per dispatch, so a cadence
-  // that tested `Icount & Mask == 0` could stride straight over its
-  // sampling point and never look at the clock again. The >=-deadline
-  // counter cannot be skipped. The vm.fused.stall site lives INSIDE the
-  // LoadConst+BinOp superinstruction handler, so this hang only exists
-  // on the fused path — and must still come back as a classified
-  // timeout.
-  support::FailPlan Plan;
-  Plan.Probability = 1.0;
-  Plan.StallMs = 30;
-  Plan.MaxFiresPerSite = 2; // Two stalls blow the budget; then run free.
-  Plan.Sites = {"vm.fused.stall"};
-  support::FailPoints::arm(Plan);
-  DriverOptions Opts = smallOpts();
-  Opts.WatchdogMs = 10;
-  Opts.MaxInstructions = 4000ull * 1000 * 1000;
-  Opts.Dispatch = vm::DispatchMode::ThreadedFused;
-  // The loop body compiles to ... LoadConst(1.0) BinOp(Add) ... — a
-  // FuseLdcBin pair executed every iteration, keeping the work-item
-  // inside fused handlers while the watchdog deadline passes.
-  auto M = runBenchmark(
-      compile("__kernel void spin(__global float* a, const int n) {\n"
-              "  while (1) { a[0] += 1.0f; }\n"
-              "}\n"),
-      amdPlatform(), Opts);
-  uint64_t FusedStalls = 0;
-  for (const auto &S : support::FailPoints::stats())
-    if (S.Site == "vm.fused.stall")
-      FusedStalls = S.Fires;
-  support::FailPoints::disarm();
-  ASSERT_FALSE(M.ok());
-  EXPECT_EQ(M.trap(), TrapKind::WatchdogTimeout);
-  // The site firing proves the kernel really executed the fused pair
-  // (i.e. the pass fused it); a zero here means the hang we are
-  // regression-testing was never reproduced.
-  EXPECT_GT(FusedStalls, 0u);
 }
 
 } // namespace

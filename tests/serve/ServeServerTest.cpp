@@ -185,7 +185,7 @@ TEST(ServeServerTest, ConcurrentThreadClientsSampleExactlyOnce) {
     Ref.wait();
   }
   // Telemetry can be compiled out (-DCLGS_TELEMETRY=OFF, the
-  // check_overhead tree): the counter then reads 0 and the delta
+  // check_variants tree): the counter then reads 0 and the delta
   // comparison below is vacuous — the ColdComputes==1 assertion still
   // proves exactly-once through the server's own accounting.
   const bool Telemetry =
@@ -493,14 +493,82 @@ TEST(ServeServerTest, RenderStatsIsKeyValueLines) {
   S.wait();
 }
 
+TEST(ServeServerTest, ConcurrentColdSeedsMatchSoloRuns) {
+  // Concurrent cold flights for different seeds sample the daemon's one
+  // trained model at the same time. Each must deliver exactly what its
+  // seed delivers alone — the same kernel digest and the same
+  // measurement rows — so no flight may disturb another's sampling
+  // state.
+  const uint64_t Seeds[2] = {1, 2};
+  auto requestFor = [](uint64_t Seed) {
+    SynthesizeRequest Req = testRequest(Seed);
+    Req.TargetKernels = 40;
+    return Req;
+  };
+
+  SynthesizeResponse Solo[2];
+  {
+    ScratchDir RefDir("solo_seeds");
+    Server Ref(testConfig(RefDir));
+    ASSERT_TRUE(Ref.start().ok());
+    for (int I = 0; I < 2; ++I) {
+      auto R = Ref.synthesize(requestFor(Seeds[I]));
+      ASSERT_TRUE(R.ok()) << R.errorMessage();
+      Solo[I] = R.get();
+    }
+    Ref.requestDrain();
+    Ref.wait();
+  }
+  ASSERT_NE(Solo[0].KernelSetDigest, Solo[1].KernelSetDigest);
+
+  ScratchDir Dir("concurrent_seeds");
+  Server S(testConfig(Dir));
+  ASSERT_TRUE(S.start().ok());
+  // Train the model first, so both flights below sample it together.
+  ASSERT_TRUE(S.synthesize(testRequest(99)).ok());
+
+  Result<SynthesizeResponse> Got[2] = {
+      Result<SynthesizeResponse>::error("not run"),
+      Result<SynthesizeResponse>::error("not run")};
+  std::vector<std::thread> Threads;
+  for (int I = 0; I < 2; ++I)
+    Threads.emplace_back([&, I] {
+      auto C = Client::connect(Dir.file("serve.sock"));
+      if (C.ok())
+        Got[I] = C.get().synthesize(requestFor(Seeds[I]));
+    });
+  for (auto &T : Threads)
+    T.join();
+
+  for (int I = 0; I < 2; ++I) {
+    SCOPED_TRACE("seed " + std::to_string(Seeds[I]));
+    ASSERT_TRUE(Got[I].ok()) << Got[I].errorMessage();
+    const SynthesizeResponse &R = Got[I].get();
+    EXPECT_FALSE(R.WarmKernels);
+    EXPECT_EQ(R.KernelSetDigest, Solo[I].KernelSetDigest);
+    EXPECT_EQ(R.Sources, Solo[I].Sources);
+    ASSERT_EQ(R.Measurements.size(), Solo[I].Measurements.size());
+    for (size_t K = 0; K < R.Measurements.size(); ++K) {
+      const MeasurementRow &A = R.Measurements[K];
+      const MeasurementRow &B = Solo[I].Measurements[K];
+      EXPECT_EQ(A.Ok, B.Ok) << "row " << K;
+      EXPECT_EQ(A.CpuTime, B.CpuTime) << "row " << K;
+      EXPECT_EQ(A.GpuTime, B.GpuTime) << "row " << K;
+      EXPECT_EQ(A.Error, B.Error) << "row " << K;
+    }
+  }
+  S.requestDrain();
+  S.wait();
+}
+
 TEST(ServeCoalescerTest, FollowersShareTheLeadersResult) {
   // The coalescer in isolation, with a compute we can hold open: the
-  // leader blocks until every follower is queued, so followers MUST
-  // take the in-flight path — this is the deterministic exactly-once
-  // unit proof (the server-level tests prove it end to end).
+  // leader blocks until the coalescer itself has counted every follower
+  // into its flight, so followers MUST take the in-flight path — this
+  // is the deterministic exactly-once unit proof (the server-level
+  // tests prove it end to end).
   Coalescer<int> Flights;
   std::atomic<int> Computes{0};
-  std::atomic<int> Waiting{0};
   constexpr int Followers = 3;
 
   std::vector<std::thread> Threads;
@@ -508,16 +576,17 @@ TEST(ServeCoalescerTest, FollowersShareTheLeadersResult) {
   std::vector<char> WasLeader(Followers + 1, 0);
   for (int I = 0; I < Followers + 1; ++I)
     Threads.emplace_back([&, I] {
-      Waiting.fetch_add(1);
       bool Leader = false;
       auto R = Flights.run(
           /*Key=*/42,
           [&]() -> Result<int> {
             Computes.fetch_add(1);
-            // Hold the flight open until every thread has arrived, so
-            // all the others are provably concurrent followers.
+            // Hold the flight open (up to 5 s) until every other
+            // thread has joined it as a follower.
             for (int Spin = 0;
-                 Spin < 5000 && Waiting.load() < Followers + 1; ++Spin)
+                 Spin < 5000 &&
+                 Flights.followers() < static_cast<uint64_t>(Followers);
+                 ++Spin)
               std::this_thread::sleep_for(std::chrono::milliseconds(1));
             return 1234;
           },

@@ -1,21 +1,20 @@
-//===- tests/vm/DispatchParityTest.cpp - dispatch trap-parity tests -----------===//
+//===- tests/vm/DispatchParityTest.cpp - VM verdicts vs the reference -----===//
 //
-// The VM's trap-parity contract: Switch (the reference loop over raw
-// bytecode), Threaded (dispatch-resolved execution form) and
-// ThreadedFused (plus the profile-guided superinstruction pass) must be
-// observationally identical — byte-identical survivor buffers, ExecCounters
-// equal field for field, and on failure the same TrapKind with the same
-// detail string. Dispatch is excluded from measurement cache keys on the
-// strength of this contract, so these tests are what make that exclusion
-// sound. Coverage: a catalog of well-formed kernels over randomized
-// payloads (spanning every fusion family), one kernel per trap class,
-// the launch-time Aux-range validation (out-of-range enum payloads must
-// be TrapKind::BadLaunch in every mode, never undefined behavior in a
-// fused handler), and unit tests of the prepareExecProgram fusion pass
-// itself (1:1 slot mapping, jump-target fusion barrier).
+// The VM's one execution loop against the verdicts of the reference
+// switch loop it replaced. Every expectation below was recorded by
+// running the kernel through that reference loop: the ok flag, the
+// TrapKind and detail string, every ExecCounters field, and an FNV-1a
+// digest of each buffer after the launch. Both builds of the loop — the
+// computed-goto default and the portable switch of
+// -DCLGS_FORCE_SWITCH_DISPATCH=ON, which the check_dispatch fixture
+// runs this suite under — must reproduce them exactly. Coverage: a
+// catalog of well-formed kernels over randomized payloads, vector,
+// local-memory and atomic kernels, one kernel per trap class, and the
+// launch-time Aux-range validation.
 //
 //===----------------------------------------------------------------------===//
 
+#include "store/Archive.h"
 #include "vm/Compiler.h"
 #include "vm/Interpreter.h"
 
@@ -29,9 +28,6 @@ using namespace clgen;
 using namespace clgen::vm;
 
 namespace {
-
-const DispatchMode AllModes[] = {DispatchMode::Switch, DispatchMode::Threaded,
-                                 DispatchMode::ThreadedFused};
 
 CompiledKernel compile(const std::string &Src) {
   auto R = compileFirstKernel(Src);
@@ -47,7 +43,7 @@ LaunchConfig config1D(size_t Global, size_t Local) {
 }
 
 /// Deterministic pseudo-random payload (xorshift; no global RNG state so
-/// every mode replays the identical bytes).
+/// every run replays the identical bytes).
 BufferData randomBuffer(size_t Elements, uint8_t ElemWidth, uint64_t Seed) {
   BufferData B = BufferData::zeros(Elements, ElemWidth);
   uint64_t S = Seed * 2654435769u + 1;
@@ -62,110 +58,86 @@ BufferData randomBuffer(size_t Elements, uint8_t ElemWidth, uint64_t Seed) {
   return B;
 }
 
-/// Everything observable about one launch, copied out so runs in
-/// different modes can be compared after the fact.
-struct Observed {
-  bool Ok = false;
-  ExecCounters C;
-  TrapKind Trap = TrapKind::None;
-  std::string Error;
-  std::vector<BufferData> Bufs;
+/// What the reference loop reported for one launch.
+struct Verdict {
+  bool Ok;
+  TrapKind Trap;
+  const char *Detail;
+  /// ExecCounters of a successful launch, Instructions through
+  /// ItemsExecuted in declaration order; a failed launch returns none.
+  uint64_t Counts[13];
+  double Divergence;
+  /// fnv1a64 over each buffer's bytes after the launch.
+  std::vector<uint64_t> Digests;
 };
 
-Observed runMode(const CompiledKernel &K, const std::vector<KernelArg> &Args,
-                 const std::vector<BufferData> &Input, LaunchConfig Config,
-                 DispatchMode Mode) {
-  Observed O;
-  O.Bufs = Input; // Fresh copy: every mode starts from identical bytes.
-  Config.Dispatch = Mode;
-  auto R = launchKernel(K, Args, O.Bufs, Config);
-  O.Ok = R.ok();
-  O.Trap = R.trap();
-  if (R.ok())
-    O.C = R.get();
-  else
-    O.Error = R.errorMessage();
-  return O;
-}
+const char *const CounterNames[13] = {
+    "Instructions",    "ComputeOps",    "MathCalls",  "GlobalLoads",
+    "GlobalStores",    "CoalescedGlobal", "LocalAccesses",
+    "PrivateAccesses", "Branches",      "AtomicOps",  "Barriers",
+    "ItemsTotal",      "ItemsExecuted"};
 
-/// Field-for-field ExecCounters equality; a plain memcmp would hide
-/// which counter drifted.
-void expectCountersEqual(const ExecCounters &A, const ExecCounters &B) {
-  EXPECT_EQ(A.Instructions, B.Instructions);
-  EXPECT_EQ(A.ComputeOps, B.ComputeOps);
-  EXPECT_EQ(A.MathCalls, B.MathCalls);
-  EXPECT_EQ(A.GlobalLoads, B.GlobalLoads);
-  EXPECT_EQ(A.GlobalStores, B.GlobalStores);
-  EXPECT_EQ(A.CoalescedGlobal, B.CoalescedGlobal);
-  EXPECT_EQ(A.LocalAccesses, B.LocalAccesses);
-  EXPECT_EQ(A.PrivateAccesses, B.PrivateAccesses);
-  EXPECT_EQ(A.Branches, B.Branches);
-  EXPECT_EQ(A.AtomicOps, B.AtomicOps);
-  EXPECT_EQ(A.Barriers, B.Barriers);
-  EXPECT_EQ(A.ItemsTotal, B.ItemsTotal);
-  EXPECT_EQ(A.ItemsExecuted, B.ItemsExecuted);
-  EXPECT_EQ(A.Divergence, B.Divergence);
-}
-
-/// Launches \p K in every dispatch mode and asserts the full parity
-/// contract against the Switch reference run.
-void expectParity(const CompiledKernel &K, const std::vector<KernelArg> &Args,
-                  const std::vector<BufferData> &Input,
-                  const LaunchConfig &Config) {
-  Observed Ref = runMode(K, Args, Input, Config, DispatchMode::Switch);
-  for (DispatchMode Mode : {DispatchMode::Threaded,
-                            DispatchMode::ThreadedFused, DispatchMode::Auto}) {
-    SCOPED_TRACE(std::string("dispatch mode ") + dispatchModeName(Mode));
-    Observed Got = runMode(K, Args, Input, Config, Mode);
-    EXPECT_EQ(Ref.Ok, Got.Ok) << (Ref.Ok ? Got.Error : Ref.Error);
-    EXPECT_EQ(Ref.Trap, Got.Trap)
-        << trapKindName(Ref.Trap) << " vs " << trapKindName(Got.Trap);
-    EXPECT_EQ(Ref.Error, Got.Error);
-    if (Ref.Ok && Got.Ok)
-      expectCountersEqual(Ref.C, Got.C);
-    ASSERT_EQ(Ref.Bufs.size(), Got.Bufs.size());
-    for (size_t I = 0; I < Ref.Bufs.size(); ++I)
-      EXPECT_EQ(Ref.Bufs[I].Data, Got.Bufs[I].Data) << "buffer " << I;
+/// Launches \p K once on a copy of \p Input and checks everything
+/// observable against \p Want.
+void expectVerdict(const CompiledKernel &K, const std::vector<KernelArg> &Args,
+                   std::vector<BufferData> Input, const LaunchConfig &Config,
+                   const Verdict &Want) {
+  auto R = launchKernel(K, Args, Input, Config);
+  EXPECT_EQ(R.ok(), Want.Ok) << (R.ok() ? "" : R.errorMessage());
+  EXPECT_EQ(R.trap(), Want.Trap)
+      << trapKindName(R.trap()) << " vs " << trapKindName(Want.Trap);
+  EXPECT_EQ(R.ok() ? std::string() : R.errorMessage(), Want.Detail);
+  if (R.ok() && Want.Ok) {
+    const ExecCounters &C = R.get();
+    const uint64_t Got[13] = {
+        C.Instructions,  C.ComputeOps,      C.MathCalls,  C.GlobalLoads,
+        C.GlobalStores,  C.CoalescedGlobal, C.LocalAccesses,
+        C.PrivateAccesses, C.Branches,      C.AtomicOps,  C.Barriers,
+        C.ItemsTotal,    C.ItemsExecuted};
+    for (size_t I = 0; I < 13; ++I)
+      EXPECT_EQ(Got[I], Want.Counts[I]) << CounterNames[I];
+    EXPECT_EQ(C.Divergence, Want.Divergence);
   }
+  ASSERT_EQ(Input.size(), Want.Digests.size());
+  for (size_t I = 0; I < Input.size(); ++I)
+    EXPECT_EQ(store::fnv1a64(Input[I].Data.data(),
+                             Input[I].Data.size() * sizeof(double)),
+              Want.Digests[I])
+        << "buffer " << I;
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Successful launches: byte-identical results + counters on a kernel
-// catalog spanning every superinstruction family.
+// Successful launches: counters and buffer bytes.
 //===----------------------------------------------------------------------===//
 
-TEST(DispatchParityTest, FusionFamilyCatalog) {
-  // Each entry leans on a different part of the fusion pass: ldc+bin /
-  // bin+st (scale), ld+bin chains (stencil), bin+jz compare-branches
-  // (guards, loops), mov+bin and bin+bin (expression trees), cast+mov
-  // and callb+mov (builtins), mov+jmp (loop latches).
+TEST(DispatchParityTest, KernelCatalog) {
+  // Each entry leans on the opcode sequences the synthesized workload
+  // executes most: constant-operand arithmetic and stores (scale),
+  // load chains (stencil), compare-branches (guards, loops), expression
+  // trees and loop latches, casts and builtin calls, and divergent
+  // control flow whose per-site branch stats feed Divergence.
   const char *Catalog[] = {
-      // ldc+bin, bin+st, mov chains.
       "__kernel void A(__global float* a) {\n"
       "  int i = get_global_id(0);\n"
       "  a[i] = a[i] * 2.0f + 1.0f;\n"
       "}",
-      // Guarded saxpy: bin+jz from the bounds compare.
       "__kernel void A(__global float* x, __global float* y, const int n) {\n"
       "  int i = get_global_id(0);\n"
       "  if (i < n) { y[i] = y[i] + 3.0f * x[i]; }\n"
       "}",
-      // Loop with latch (mov+jmp), reduction (bin+bin), integer ops.
       "__kernel void A(__global float* a, __global float* o, const int n) {\n"
       "  float s = 0.0f;\n"
       "  int parity = 0;\n"
       "  for (int i = 0; i < n; i++) { s += a[i]; parity = (parity + i) % 7; }\n"
       "  o[get_global_id(0)] = s + parity;\n"
       "}",
-      // Builtins: cast+mov, callb+mov, math-call accounting.
       "__kernel void A(__global float* a) {\n"
       "  int i = get_global_id(0);\n"
       "  float v = a[i];\n"
       "  a[i] = sqrt(fabs(v)) + (float)max((int)v, 3);\n"
       "}",
-      // Divergent control flow: per-site branch stats must agree.
       "__kernel void A(__global float* a, const int n) {\n"
       "  int i = get_global_id(0);\n"
       "  if (i % 3 == 0) { a[i] = a[i] * 2.0f; }\n"
@@ -173,7 +145,55 @@ TEST(DispatchParityTest, FusionFamilyCatalog) {
       "  else { a[i] = (float)(n - i); }\n"
       "}",
   };
-  for (size_t KI = 0; KI < sizeof(Catalog) / sizeof(Catalog[0]); ++KI) {
+  // Indexed [kernel][seed - 1].
+  const Verdict Want[5][3] = {
+      {{true, TrapKind::None, "",
+        {384, 96, 0, 32, 32, 64, 0, 0, 0, 0, 0, 32, 32},
+        0, {0x24e5903d0bc641feull}},
+       {true, TrapKind::None, "",
+        {384, 96, 0, 32, 32, 64, 0, 0, 0, 0, 0, 32, 32},
+        0, {0x7ba0528ba44f44e8ull}},
+       {true, TrapKind::None, "",
+        {384, 96, 0, 32, 32, 64, 0, 0, 0, 0, 0, 32, 32},
+        0, {0xee1c85cbfadf6612ull}}},
+      {{true, TrapKind::None, "",
+        {352, 96, 0, 32, 16, 48, 0, 0, 32, 0, 0, 32, 32},
+        0, {0x1393ec08d69cd8e2ull, 0x3d52174d791ca7f9ull}},
+       {true, TrapKind::None, "",
+        {352, 96, 0, 32, 16, 48, 0, 0, 32, 0, 0, 32, 32},
+        0, {0xa11da36c505ab38dull, 0xd056002fbd73cdf3ull}},
+       {true, TrapKind::None, "",
+        {352, 96, 0, 32, 16, 48, 0, 0, 32, 0, 0, 32, 32},
+        0, {0x76ba19cf0cc1c493ull, 0x7b0d3a60694f0c83ull}}},
+      {{true, TrapKind::None, "",
+        {7616, 2624, 0, 512, 32, 32, 0, 0, 544, 0, 0, 32, 32},
+        0.11764705882352941, {0x1393ec08d69cd8e2ull, 0x40766e0b48070aa8ull}},
+       {true, TrapKind::None, "",
+        {7616, 2624, 0, 512, 32, 32, 0, 0, 544, 0, 0, 32, 32},
+        0.11764705882352941, {0xa11da36c505ab38dull, 0x0988631e7654fe5bull}},
+       {true, TrapKind::None, "",
+        {7616, 2624, 0, 512, 32, 32, 0, 0, 544, 0, 0, 32, 32},
+        0.11764705882352941, {0x76ba19cf0cc1c493ull, 0xafd0c9d9357a98a1ull}}},
+      {{true, TrapKind::None, "",
+        {512, 224, 96, 32, 32, 64, 0, 0, 0, 0, 0, 32, 32},
+        0, {0xfa5e5b36d12386a2ull}},
+       {true, TrapKind::None, "",
+        {512, 224, 96, 32, 32, 64, 0, 0, 0, 0, 0, 32, 32},
+        0, {0x9e957c6bbf1c56ebull}},
+       {true, TrapKind::None, "",
+        {512, 224, 96, 32, 32, 64, 0, 0, 0, 0, 0, 32, 32},
+        0, {0x4c7c7c7e21cd3c2aull}}},
+      {{true, TrapKind::None, "",
+        {597, 180, 0, 22, 32, 54, 0, 0, 53, 0, 0, 32, 32},
+        0.75471698113207553, {0xf00110e2975c5eceull}},
+       {true, TrapKind::None, "",
+        {597, 180, 0, 22, 32, 54, 0, 0, 53, 0, 0, 32, 32},
+        0.75471698113207553, {0xec1f6e5d98f1135full}},
+       {true, TrapKind::None, "",
+        {597, 180, 0, 22, 32, 54, 0, 0, 53, 0, 0, 32, 32},
+        0.75471698113207553, {0x5ddeb0b9b2dd3175ull}}},
+  };
+  for (size_t KI = 0; KI < 5; ++KI) {
     SCOPED_TRACE("catalog kernel " + std::to_string(KI));
     CompiledKernel K = compile(Catalog[KI]);
     size_t NumBufs = K.bufferParamCount();
@@ -187,22 +207,25 @@ TEST(DispatchParityTest, FusionFamilyCatalog) {
       }
       if (K.Params.size() > NumBufs)
         Args.push_back(KernelArg::scalar(16));
-      expectParity(K, Args, Bufs, config1D(32, 8));
+      expectVerdict(K, Args, Bufs, config1D(32, 8), Want[KI][Seed - 1]);
     }
   }
 }
 
 TEST(DispatchParityTest, VectorLocalAndAtomicKernels) {
   // Vector lanes, __local + barrier phases and atomics all bypass the
-  // scalar fast paths of the threaded loop; parity must hold there too.
+  // scalar fast paths of the loop.
   CompiledKernel Vec = compile(
       "__kernel void A(__global float4* a) {\n"
       "  int i = get_global_id(0);\n"
       "  float4 v = a[i];\n"
       "  a[i] = v.wzyx * 2.0f;\n"
       "}");
-  expectParity(Vec, {KernelArg::buffer(0)}, {randomBuffer(16, 4, 5)},
-               config1D(16, 4));
+  expectVerdict(Vec, {KernelArg::buffer(0)}, {randomBuffer(16, 4, 5)},
+                config1D(16, 4),
+                {true, TrapKind::None, "",
+                 {208, 32, 0, 16, 16, 32, 0, 0, 0, 0, 0, 16, 16},
+                 0, {0x5f092db202aa0e58ull}});
 
   CompiledKernel Loc = compile(
       "__kernel void A(__global float* a, __local float* tmp) {\n"
@@ -212,20 +235,27 @@ TEST(DispatchParityTest, VectorLocalAndAtomicKernels) {
       "  barrier(CLK_LOCAL_MEM_FENCE);\n"
       "  a[i] = tmp[get_local_size(0) - 1 - l];\n"
       "}");
-  expectParity(Loc, {KernelArg::buffer(0), KernelArg::localSize(8)},
-               {randomBuffer(32, 1, 6)}, config1D(32, 8));
+  expectVerdict(Loc, {KernelArg::buffer(0), KernelArg::localSize(8)},
+                {randomBuffer(32, 1, 6)}, config1D(32, 8),
+                {true, TrapKind::None, "",
+                 {640, 128, 0, 32, 32, 64, 64, 0, 0, 0, 32, 32, 32},
+                 0, {0x60b461b31fb70315ull}});
 
   CompiledKernel Hist = compile(
       "__kernel void A(__global int* hist, __global int* data) {\n"
       "  atomic_add(&hist[data[get_global_id(0)] % 8], 1);\n"
       "}");
-  expectParity(Hist, {KernelArg::buffer(0), KernelArg::buffer(1)},
-               {BufferData::zeros(8, 1), randomBuffer(32, 1, 7)},
-               config1D(32, 8));
+  expectVerdict(Hist, {KernelArg::buffer(0), KernelArg::buffer(1)},
+                {BufferData::zeros(8, 1), randomBuffer(32, 1, 7)},
+                config1D(32, 8),
+                {true, TrapKind::None, "",
+                 {320, 64, 0, 32, 0, 32, 0, 0, 0, 32, 0, 32, 32},
+                 0, {0xa9af8d0404192fa5ull, 0x893873ddd282fe70ull}});
 }
 
 //===----------------------------------------------------------------------===//
-// Trap classes: same TrapKind, same detail string, in every mode.
+// Trap classes: the same TrapKind and detail string, and the same bytes
+// left behind in the buffers.
 //===----------------------------------------------------------------------===//
 
 TEST(DispatchParityTest, OutOfBoundsTrapParity) {
@@ -233,16 +263,16 @@ TEST(DispatchParityTest, OutOfBoundsTrapParity) {
       "__kernel void A(__global float* a) {\n"
       "  a[get_global_id(0) + 100] = 1.0f;\n"
       "}");
-  expectParity(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 1)},
-               config1D(4, 4));
-  Observed O = runMode(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 1)},
-                       config1D(4, 4), DispatchMode::ThreadedFused);
-  EXPECT_EQ(O.Trap, TrapKind::OutOfBounds);
+  expectVerdict(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 1)},
+                config1D(4, 4),
+                {false, TrapKind::OutOfBounds,
+                 "out-of-bounds global access (index 100 of 4 elements)", {}, 0,
+                 {0x68d107204cc51ab8ull}});
 }
 
 TEST(DispatchParityTest, DivByZeroTrapParity) {
-  // The divisor arrives via buffer data, so the fused per-op DivI
-  // handler (not the compiler) must raise the trap.
+  // The divisor arrives via buffer data, so the DivI handler (not the
+  // compiler) must raise the trap.
   CompiledKernel K = compile(
       "__kernel void A(__global int* a, __global int* d) {\n"
       "  int i = get_global_id(0);\n"
@@ -250,35 +280,34 @@ TEST(DispatchParityTest, DivByZeroTrapParity) {
       "}");
   LaunchConfig C = config1D(4, 4);
   C.TrapDivZero = true;
-  expectParity(K, {KernelArg::buffer(0), KernelArg::buffer(1)},
-               {randomBuffer(4, 1, 2), BufferData::zeros(4, 1)}, C);
-  Observed O = runMode(K, {KernelArg::buffer(0), KernelArg::buffer(1)},
-                       {randomBuffer(4, 1, 2), BufferData::zeros(4, 1)}, C,
-                       DispatchMode::ThreadedFused);
-  EXPECT_EQ(O.Trap, TrapKind::DivByZero);
+  expectVerdict(K, {KernelArg::buffer(0), KernelArg::buffer(1)},
+                {randomBuffer(4, 1, 2), BufferData::zeros(4, 1)}, C,
+                {false, TrapKind::DivByZero,
+                 "integer division by zero", {}, 0,
+                 {0xcbb639d4a828704cull, 0x0c8210784d8af5a5ull}});
 
-  // Without strict trapping the OpenCL-style silent zero must be the
-  // result everywhere instead.
+  // Without strict trapping the result is the OpenCL-style silent zero.
   C.TrapDivZero = false;
-  expectParity(K, {KernelArg::buffer(0), KernelArg::buffer(1)},
-               {randomBuffer(4, 1, 2), BufferData::zeros(4, 1)}, C);
+  expectVerdict(K, {KernelArg::buffer(0), KernelArg::buffer(1)},
+                {randomBuffer(4, 1, 2), BufferData::zeros(4, 1)}, C,
+                {true, TrapKind::None, "",
+                 {40, 8, 0, 8, 4, 12, 0, 0, 0, 0, 0, 4, 4},
+                 0, {0x0c8210784d8af5a5ull, 0x0c8210784d8af5a5ull}});
 }
 
 TEST(DispatchParityTest, InstructionBudgetTrapParity) {
-  // The budget trap must fire after the same retired-instruction count
-  // in every mode — the fused loop checks per original instruction, not
-  // per superinstruction, so the detail string (which quotes the count)
-  // must match byte for byte.
   CompiledKernel K = compile(
       "__kernel void A(__global float* a) {\n"
       "  while (1) { a[0] = a[0] + 1.0f; }\n"
       "}");
   LaunchConfig C = config1D(1, 1);
   C.MaxInstructions = 9999;
-  expectParity(K, {KernelArg::buffer(0)}, {randomBuffer(1, 1, 3)}, C);
-  Observed O = runMode(K, {KernelArg::buffer(0)}, {randomBuffer(1, 1, 3)}, C,
-                       DispatchMode::ThreadedFused);
-  EXPECT_EQ(O.Trap, TrapKind::InstructionBudget);
+  // The buffer digest pins how many loop iterations retired before the
+  // budget trap.
+  expectVerdict(K, {KernelArg::buffer(0)}, {randomBuffer(1, 1, 3)}, C,
+                {false, TrapKind::InstructionBudget,
+                 "kernel exceeded instruction budget (timeout)", {}, 0,
+                 {0x27d90833019f1fcbull}});
 }
 
 TEST(DispatchParityTest, BarrierDivergenceTrapParity) {
@@ -287,32 +316,30 @@ TEST(DispatchParityTest, BarrierDivergenceTrapParity) {
       "  if (get_local_id(0) < 2) { barrier(CLK_LOCAL_MEM_FENCE); }\n"
       "  a[get_global_id(0)] = 1.0f;\n"
       "}");
-  expectParity(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 4)},
-               config1D(4, 4));
-  Observed O = runMode(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 4)},
-                       config1D(4, 4), DispatchMode::ThreadedFused);
-  EXPECT_EQ(O.Trap, TrapKind::BarrierDivergence);
+  expectVerdict(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 4)},
+                config1D(4, 4),
+                {false, TrapKind::BarrierDivergence,
+                 "barrier divergence: not all work-items reached the "
+                 "barrier",
+                 {}, 0,
+                 {0x65be43290a2dbfe1ull}});
 }
 
 TEST(DispatchParityTest, BadLaunchTrapParity) {
+  // Argument-count mismatch fails before execution.
   CompiledKernel K = compile(
       "__kernel void A(__global float* a, int n) { a[0] = n; }");
-  // Argument-count mismatch fails before execution in every mode.
-  for (DispatchMode Mode : AllModes) {
-    SCOPED_TRACE(std::string("dispatch mode ") + dispatchModeName(Mode));
-    Observed O = runMode(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 1)},
-                         config1D(1, 1), Mode);
-    EXPECT_FALSE(O.Ok);
-    EXPECT_EQ(O.Trap, TrapKind::BadLaunch);
-  }
-  expectParity(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 1)},
-               config1D(1, 1));
+  expectVerdict(K, {KernelArg::buffer(0)}, {randomBuffer(4, 1, 1)},
+                config1D(1, 1),
+                {false, TrapKind::BadLaunch,
+                 "kernel 'A' expects 2 arguments, got 1", {}, 0,
+                 {0x68d107204cc51ab8ull}});
 }
 
 TEST(DispatchParityTest, WatchdogTrapParity) {
   // Wall-clock watchdog: the instruction count at abort is timing-
-  // dependent, so only the classification (kind + both modes trapping)
-  // is asserted, not counters or detail bytes.
+  // dependent, so only the classification is asserted, not counters or
+  // buffer bytes.
   CompiledKernel K = compile(
       "__kernel void A(__global float* a) {\n"
       "  while (1) { a[0] = a[0] + 1.0f; }\n"
@@ -320,15 +347,11 @@ TEST(DispatchParityTest, WatchdogTrapParity) {
   LaunchConfig C = config1D(1, 1);
   C.WatchdogMs = 20;
   C.MaxInstructions = ~0ull;
-  for (DispatchMode Mode : AllModes) {
-    SCOPED_TRACE(std::string("dispatch mode ") + dispatchModeName(Mode));
-    std::vector<BufferData> Bufs = {randomBuffer(1, 1, 1)};
-    C.Dispatch = Mode;
-    auto R = launchKernel(K, {KernelArg::buffer(0)}, Bufs, C);
-    ASSERT_FALSE(R.ok());
-    EXPECT_EQ(R.trap(), TrapKind::WatchdogTimeout)
-        << trapKindName(R.trap()) << ": " << R.errorMessage();
-  }
+  std::vector<BufferData> Bufs = {randomBuffer(1, 1, 1)};
+  auto R = launchKernel(K, {KernelArg::buffer(0)}, Bufs, C);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.trap(), TrapKind::WatchdogTimeout)
+      << trapKindName(R.trap()) << ": " << R.errorMessage();
 }
 
 //===----------------------------------------------------------------------===//
@@ -362,69 +385,52 @@ CompiledKernel poisonedKernel(Opcode Op, uint8_t Aux) {
 
 TEST(DispatchParityTest, OutOfRangeAuxIsBadLaunchInEveryMode) {
   // An Aux beyond the enum range must be rejected by launch-time
-  // verification as TrapKind::BadLaunch in every dispatch mode. This is
-  // load-bearing for fused dispatch: prepareExecProgram specializes
-  // BinOp handlers by adding Aux to the family's _Add opcode, so an
-  // unvalidated Aux of 200 would index the label-address table out of
-  // range — undefined behavior, not a diagnostic.
-  struct { Opcode Op; uint8_t Aux; } Cases[] = {
-      {Opcode::BinOp, 200},                                     // > MaxI
-      {Opcode::BinOp, static_cast<uint8_t>(VmBinOp::MaxI) + 1}, // first bad
-      {Opcode::UnOp, 17},                                       // > LogicNot
-      {Opcode::LoadMem, 9},                                     // bad MemSpace
+  // verification as TrapKind::BadLaunch in both builds of the loop.
+  // prepareExecProgram specializes BinOp handlers by adding Aux to
+  // ExtOp::BinAdd, so an unvalidated Aux of 200 would index the
+  // label-address table out of range — undefined behavior, not a
+  // diagnostic.
+  struct {
+    Opcode Op;
+    uint8_t Aux;
+    Verdict Want;
+  } Cases[] = {
+      {Opcode::BinOp, 200, // > MaxI
+       {false, TrapKind::BadLaunch,
+        "malformed kernel bytecode: instr 0 (bin): binop aux out of range",
+        {}, 0, {}}},
+      {Opcode::BinOp, static_cast<uint8_t>(VmBinOp::MaxI) + 1, // first bad
+       {false, TrapKind::BadLaunch,
+        "malformed kernel bytecode: instr 0 (bin): binop aux out of range",
+        {}, 0, {}}},
+      {Opcode::UnOp, 17, // > LogicNot
+       {false, TrapKind::BadLaunch,
+        "malformed kernel bytecode: instr 0 (un): unop aux out of range",
+        {}, 0, {}}},
+      {Opcode::LoadMem, 9, // bad MemSpace
+       {false, TrapKind::BadLaunch,
+        "malformed kernel bytecode: instr 0 (ld): address space out of range",
+        {}, 0, {}}},
   };
   for (const auto &Case : Cases) {
     SCOPED_TRACE("Aux " + std::to_string(Case.Aux));
     CompiledKernel K = poisonedKernel(Case.Op, Case.Aux);
     if (Case.Op == Opcode::LoadMem)
       K.Code[0].Space = static_cast<MemSpace>(Case.Aux);
-    for (DispatchMode Mode : AllModes) {
-      SCOPED_TRACE(std::string("dispatch mode ") + dispatchModeName(Mode));
-      LaunchConfig C = config1D(1, 1);
-      C.Dispatch = Mode;
-      std::vector<BufferData> Bufs;
-      auto R = launchKernel(K, {}, Bufs, C);
-      ASSERT_FALSE(R.ok());
-      EXPECT_EQ(R.trap(), TrapKind::BadLaunch)
-          << trapKindName(R.trap()) << ": " << R.errorMessage();
-    }
+    expectVerdict(K, {}, {}, config1D(1, 1), Case.Want);
   }
   // Control: the largest in-range Aux is not rejected as BadLaunch.
   CompiledKernel K = poisonedKernel(Opcode::BinOp,
                                     static_cast<uint8_t>(VmBinOp::MaxI));
-  std::vector<BufferData> Bufs;
-  auto R = launchKernel(K, {}, Bufs, config1D(1, 1));
-  EXPECT_TRUE(R.ok()) << R.errorMessage();
+  expectVerdict(K, {}, {}, config1D(1, 1),
+                {true, TrapKind::None, "",
+                 {2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1},
+                 0, {}});
 }
 
-//===----------------------------------------------------------------------===//
-// The fusion pass itself.
-//===----------------------------------------------------------------------===//
-
-TEST(DispatchParityTest, FusionPassFusesAndKeepsSlotMapping) {
-  CompiledKernel K = compile(
-      "__kernel void A(__global float* a) {\n"
-      "  int i = get_global_id(0);\n"
-      "  a[i] = a[i] * 2.0f + 1.0f;\n"
-      "}");
-  ExecProgram Fused, Plain;
-  prepareExecProgram(K, /*Fuse=*/true, Fused);
-  prepareExecProgram(K, /*Fuse=*/false, Plain);
-  EXPECT_GT(Fused.FusedPairs, 0u);
-  EXPECT_EQ(Plain.FusedPairs, 0u);
-  // 1:1 slot-per-pc mapping plus the trailing Halt sentinel, in both.
-  EXPECT_EQ(Fused.Code.size(), K.Code.size() + 1);
-  EXPECT_EQ(Plain.Code.size(), K.Code.size() + 1);
-  EXPECT_EQ(static_cast<ExtOp>(Fused.Code.back().Ext), ExtOp::Halt);
-  EXPECT_EQ(static_cast<ExtOp>(Plain.Code.back().Ext), ExtOp::Halt);
-  EXPECT_EQ(Fused.BranchSiteCount, K.BranchSites);
-}
-
-TEST(DispatchParityTest, FusionNeverSwallowsJumpTargets) {
-  // A fused pair at pc retires pc and pc+1 in one handler; if pc+1 is a
-  // jump target, a branch landing there would re-execute half the pair.
-  // The pass must refuse such pairs. A loop kernel has back-edges onto
-  // its header, which directly exercises the constraint.
+TEST(DispatchParityTest, ExecProgramMapsOnePcPerSlot) {
+  // The execution form keeps one slot per bytecode pc plus a trailing
+  // Halt sentinel, and numbers branch sites as the compiler does.
   CompiledKernel K = compile(
       "__kernel void A(__global float* a, const int n) {\n"
       "  float s = 0.0f;\n"
@@ -432,31 +438,10 @@ TEST(DispatchParityTest, FusionNeverSwallowsJumpTargets) {
       "  a[get_global_id(0)] = s;\n"
       "}");
   ExecProgram P;
-  prepareExecProgram(K, /*Fuse=*/true, P);
-  std::vector<bool> IsTarget(K.Code.size() + 1, false);
-  for (const Instr &I : K.Code)
-    if (I.Op == Opcode::Jmp || I.Op == Opcode::Jz || I.Op == Opcode::Jnz)
-      IsTarget[static_cast<size_t>(I.Imm)] = true;
-  const uint8_t FirstFused = static_cast<uint8_t>(ExtOp::FuseLdcBin_Add);
-  size_t FusedSeen = 0;
-  for (size_t Pc = 0; Pc + 1 < P.Code.size(); ++Pc) {
-    if (P.Code[Pc].Ext < FirstFused)
-      continue;
-    ++FusedSeen;
-    EXPECT_FALSE(IsTarget[Pc + 1])
-        << "fused pair at pc " << Pc << " swallows jump target " << (Pc + 1);
-  }
-  EXPECT_EQ(FusedSeen, P.FusedPairs);
-}
-
-TEST(DispatchParityTest, DispatchModeNamesRoundTrip) {
-  for (DispatchMode Mode :
-       {DispatchMode::Auto, DispatchMode::Switch, DispatchMode::Threaded,
-        DispatchMode::ThreadedFused}) {
-    auto Parsed = parseDispatchMode(dispatchModeName(Mode));
-    ASSERT_TRUE(Parsed.has_value());
-    EXPECT_EQ(*Parsed, Mode);
-  }
-  EXPECT_FALSE(parseDispatchMode("goto").has_value());
-  EXPECT_FALSE(parseDispatchMode("").has_value());
+  prepareExecProgram(K, P);
+  ASSERT_EQ(P.Code.size(), K.Code.size() + 1);
+  EXPECT_EQ(static_cast<ExtOp>(P.Code.back().Ext), ExtOp::Halt);
+  EXPECT_EQ(P.BranchSiteCount, K.BranchSites);
+  for (size_t Pc = 0; Pc < K.Code.size(); ++Pc)
+    EXPECT_EQ(P.Code[Pc].I.Op, K.Code[Pc].Op) << "pc " << Pc;
 }
