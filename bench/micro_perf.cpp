@@ -12,7 +12,7 @@
 #include "features/Features.h"
 #include "githubsim/GithubSim.h"
 #include "model/LstmModel.h"
-#include "model/NGramModel.h"
+#include "model/TemperedDraw.h"
 #include "ocl/Parser.h"
 #include "ocl/Sema.h"
 #include "runtime/HostDriver.h"
@@ -102,20 +102,55 @@ void BM_FeatureExtraction(benchmark::State &State) {
 }
 BENCHMARK(BM_FeatureExtraction);
 
-void BM_NGramSampleChar(benchmark::State &State) {
-  model::NGramModel Model;
-  Model.train({sampleSource()});
-  Model.reset();
-  Model.observeText("__kernel void A(");
-  Rng R(1);
+/// The sampler's per-character step on benchPipeline()'s order-14 model
+/// at T = 0.5, restarting from the Figure 6 seed wherever sampleKernel
+/// would end a sample. Each run samples a fresh clone, as a synthesis
+/// engine does. \p Memoized picks the step: drawNext, which the sampler
+/// runs, or the reference nextDistributionInto + drawToken. Both draw the
+/// same characters.
+void sampleChars(benchmark::State &State, bool Memoized) {
+  std::unique_ptr<model::LanguageModel> Model =
+      benchPipeline().languageModel().clone();
+  const model::Vocabulary &Vocab = Model->vocabulary();
+  const std::string Seed = core::ArgSpec::figure6().seedText();
+  const double Temperature = 0.5;
+  Rng R(0x5A117);
+  std::vector<double> Dist;
+  size_t Length = 0;
+  int Depth = 0;
+  auto restart = [&] {
+    Model->reset();
+    Model->observeText(Seed);
+    Length = Seed.size();
+    Depth = 1;
+  };
+  restart();
   for (auto _ : State) {
-    auto Dist = Model.nextDistribution();
-    size_t Tok = R.weighted(Dist);
-    Model.observe(static_cast<int>(Tok));
-    benchmark::DoNotOptimize(Tok);
+    int Token;
+    if (Memoized) {
+      Token = Model->drawNext(Temperature, R);
+    } else {
+      Model->nextDistributionInto(Dist);
+      Token = model::drawToken(Dist, Temperature, R);
+    }
+    benchmark::DoNotOptimize(Token);
+    char C = Vocab.charOf(Token);
+    Depth += (C == '{') - (C == '}');
+    if (Token == model::Vocabulary::EndOfText || Depth == 0 ||
+        ++Length == core::SampleOptions().MaxLength)
+      restart();
+    else
+      Model->observe(Token);
   }
 }
+
+void BM_NGramSampleChar(benchmark::State &State) { sampleChars(State, true); }
 BENCHMARK(BM_NGramSampleChar);
+
+void BM_NGramSampleCharReference(benchmark::State &State) {
+  sampleChars(State, false);
+}
+BENCHMARK(BM_NGramSampleCharReference);
 
 void BM_LstmStep(benchmark::State &State) {
   model::LstmOptions Opts;
@@ -163,22 +198,45 @@ BENCHMARK(BM_TrainEpoch)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
+/// Forwards to a model and counts the characters the sampler draws.
+class DrawCounter final : public model::LanguageModel {
+public:
+  explicit DrawCounter(model::LanguageModel &Inner) : Inner(Inner) {}
+  const model::Vocabulary &vocabulary() const override {
+    return Inner.vocabulary();
+  }
+  void reset() override { Inner.reset(); }
+  void observe(int TokenId) override { Inner.observe(TokenId); }
+  std::vector<double> nextDistribution() override {
+    return Inner.nextDistribution();
+  }
+  int drawNext(double Temperature, Rng &R) override {
+    ++Draws;
+    return Inner.drawNext(Temperature, R);
+  }
+
+  uint64_t Draws = 0;
+
+private:
+  model::LanguageModel &Inner;
+};
+
 void BM_SampleKernel(benchmark::State &State) {
-  auto &Pipeline = benchPipeline();
+  std::unique_ptr<model::LanguageModel> Model =
+      benchPipeline().languageModel().clone();
+  DrawCounter Counted(*Model);
   std::string Seed = core::ArgSpec::figure6().seedText();
   core::SampleOptions SOpts;
   SOpts.Temperature = 0.5;
   Rng Base(0x5A117);
   uint64_t Attempt = 0;
-  size_t Chars = 0;
   for (auto _ : State) {
     Rng R = Base.split(Attempt++);
-    auto S = core::sampleKernel(Pipeline.languageModel(), Seed, SOpts, R);
-    Chars += S ? S->size() : SOpts.MaxLength;
+    auto S = core::sampleKernel(Counted, Seed, SOpts, R);
     benchmark::DoNotOptimize(S.has_value());
   }
   State.counters["chars/s"] = benchmark::Counter(
-      static_cast<double>(Chars), benchmark::Counter::kIsRate);
+      static_cast<double>(Counted.Draws), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SampleKernel)->Unit(benchmark::kMicrosecond);
 

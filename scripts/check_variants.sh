@@ -65,7 +65,7 @@ build_variants)
         -DCLGS_FORCE_SWITCH_DISPATCH=ON -DCLGS_NESTED_FIXTURE=ON >/dev/null
   echo "build_variants: building test binaries"
   cmake --build "$BUILD" -j --target clgen_tests clgen_stress_tests \
-        clgen_failpoint_tests >/dev/null
+        clgen_failpoint_tests clgen_failpoint_stress_tests >/dev/null
   ;;
 check_failpoints)
   run_slice -R "^($FAILPOINT_SUITES)\."

@@ -8,9 +8,6 @@
 
 #include "support/StringUtils.h"
 
-#include <cmath>
-#include <limits>
-
 using namespace clgen;
 using namespace clgen::core;
 
@@ -36,59 +33,6 @@ std::string ArgSpec::seedText() const {
 
 std::string core::freeModeSeed() { return "__kernel void A("; }
 
-namespace {
-
-/// Memoizing log-space temperature reweighting: w = exp(log(p)/T).
-/// Smoothed distributions repeat one floor probability across most of
-/// the vocabulary (bit-identically), so a single-entry memo collapses
-/// nearly every exp/log pair; the few "real" probabilities each pay one.
-struct TemperedWeight {
-  double InvT;
-  double LastP = -1.0;
-  double LastW = 0.0;
-
-  double operator()(double P) {
-    if (P != LastP) {
-      LastP = P;
-      LastW = std::exp(std::log(P) * InvT);
-    }
-    return LastW;
-  }
-};
-
-} // namespace
-
-int core::drawToken(const std::vector<double> &Dist, double Temperature,
-                    Rng &R) {
-  if (Temperature <= 0.0)
-    Temperature = 1e-3;
-  // Cumulative (inverse-CDF) sampling from the p^(1/T) distribution in
-  // two memoized passes — no pow() storm and no intermediate weight
-  // vector. Exactly one uniform draw per emitted token keeps the RNG
-  // stream advance independent of the distribution's content.
-  TemperedWeight Weight{1.0 / Temperature};
-  double Sum = 0.0;
-  for (double P : Dist)
-    if (P > 0.0)
-      Sum += Weight(P);
-  double Target = R.uniform() * Sum;
-  if (Dist.empty() || Sum <= 0.0 || !std::isfinite(Sum))
-    return model::Vocabulary::EndOfText;
-  double Running = 0.0;
-  int Last = model::Vocabulary::EndOfText;
-  for (size_t I = 0; I < Dist.size(); ++I) {
-    double P = Dist[I];
-    if (P <= 0.0)
-      continue;
-    Running += Weight(P);
-    Last = static_cast<int>(I);
-    if (Target < Running)
-      return Last;
-  }
-  // Floating-point shortfall at the tail: return the last nonzero entry.
-  return Last;
-}
-
 std::optional<std::string> core::sampleKernel(model::LanguageModel &Model,
                                               const std::string &Seed,
                                               const SampleOptions &Opts,
@@ -110,11 +54,9 @@ std::optional<std::string> core::sampleKernel(model::LanguageModel &Model,
 
   std::string Sample = Seed;
   bool SeenOpen = Seed.find('{') != std::string::npos;
-  std::vector<double> Dist; // Reused across tokens: no per-char allocs.
   // Lines 3-14: generate until the function block closes.
   while (Sample.size() < Opts.MaxLength) {
-    Model.nextDistributionInto(Dist);
-    int Token = drawToken(Dist, Opts.Temperature, R);
+    int Token = Model.drawNext(Opts.Temperature, R);
     if (Token == model::Vocabulary::EndOfText) {
       // The model ended the kernel itself; valid only if the block is
       // closed (free mode may legitimately end after the signature).

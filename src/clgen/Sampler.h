@@ -53,18 +53,6 @@ struct SampleOptions {
   double Temperature = 0.85;
 };
 
-/// Temperature-adjusted draw from a probability distribution:
-/// inverse-CDF sampling over the log-space reweighted values
-/// w_i = exp(log(p_i)/T), computed in two memoized passes with no
-/// intermediate weight vector and no per-token pow() (smoothed
-/// distributions repeat one floor probability, so almost every entry
-/// hits the memo). Exactly one uniform is drawn from \p R per call,
-/// keeping the stream advance independent of the distribution's
-/// content. An empty or all-zero distribution yields
-/// Vocabulary::EndOfText (the sampler then treats the sample as
-/// complete or rejects it) rather than silently picking token 0.
-int drawToken(const std::vector<double> &Dist, double Temperature, Rng &R);
-
 /// Samples one candidate kernel string (seed included). Returns nullopt
 /// when the sample hit the length cap before closing the kernel body,
 /// the model emitted end-of-text prematurely, or the sample closed a

@@ -6,6 +6,8 @@
 
 #include "model/LanguageModel.h"
 
+#include "model/TemperedDraw.h"
+
 #include <cmath>
 
 using namespace clgen;
@@ -15,6 +17,12 @@ LanguageModel::~LanguageModel() = default;
 
 void LanguageModel::nextDistributionInto(std::vector<double> &Dist) {
   Dist = nextDistribution();
+}
+
+int LanguageModel::drawNext(double Temperature, Rng &R) {
+  thread_local std::vector<double> Dist;
+  nextDistributionInto(Dist);
+  return drawToken(Dist, Temperature, R);
 }
 
 void LanguageModel::observeText(const std::string &Text) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 namespace clgen {
+class Rng;
 namespace model {
 
 class LanguageModel {
@@ -46,6 +47,13 @@ public:
   /// Subclasses override this to avoid building a fresh vector per
   /// token; the default delegates to nextDistribution().
   virtual void nextDistributionInto(std::vector<double> &Dist);
+
+  /// Draws the next token at \p Temperature: the token that drawToken
+  /// (model/TemperedDraw.h) draws from nextDistributionInto(), leaving
+  /// \p R in the same state. The sampler calls this once per character.
+  /// The default does exactly that, into a reused per-thread buffer;
+  /// NGramModel memoizes the draw per context window.
+  virtual int drawNext(double Temperature, Rng &R);
 
   /// Returns an independent deep copy carrying the trained parameters
   /// (generation state need not be preserved). Parallel samplers give

@@ -23,6 +23,7 @@ void NGramModel::train(const std::vector<std::string> &Entries) {
   for (const std::string &E : Entries)
     addSequence(Building, E);
   Counts = std::make_shared<const ContextCounts>(std::move(Building));
+  Memo.clear();
   reset();
 }
 
@@ -108,6 +109,12 @@ void NGramModel::nextDistributionInto(std::vector<double> &Dist) {
   double InvSum = 1.0 / (ContextMass + Opts.UnigramSmoothing);
   for (double &P : Dist)
     P = (P + Floor) * InvSum;
+}
+
+int NGramModel::drawNext(double Temperature, Rng &R) {
+  return Memo.draw(Context, Temperature, R, [this](std::vector<double> &D) {
+    NGramModel::nextDistributionInto(D);
+  });
 }
 
 std::unique_ptr<LanguageModel> NGramModel::clone() const {

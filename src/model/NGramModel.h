@@ -22,6 +22,7 @@
 #define CLGEN_MODEL_NGRAMMODEL_H
 
 #include "model/LanguageModel.h"
+#include "model/TemperedDraw.h"
 
 #include <string>
 #include <string_view>
@@ -74,11 +75,19 @@ public:
   void observe(int TokenId) override;
   std::vector<double> nextDistribution() override;
   void nextDistributionInto(std::vector<double> &Dist) override;
+  /// The reference draw, memoized per context window: the distribution
+  /// is a pure function of Context, so each window's tempered CDF is
+  /// built once per temperature (model/TemperedDraw.h).
+  int drawNext(double Temperature, Rng &R) override;
+  /// Copies the trained model; the clone's sampling memo starts empty.
   std::unique_ptr<LanguageModel> clone() const override;
   const char *backendName() const override { return "ngram"; }
 
   /// Number of distinct contexts stored (all orders).
   size_t contextCount() const { return Counts ? Counts->size() : 0; }
+
+  /// Number of context windows in the sampling memo (see drawNext).
+  size_t memoizedContexts() const { return Memo.size(); }
 
   /// Appends options, vocabulary and the full count table to an archive
   /// payload. Contexts and their count entries are emitted in sorted
@@ -99,6 +108,9 @@ private:
   std::shared_ptr<const ContextCounts> Counts;
   /// Rolling context of the last Order-1 token ids (as chars).
   std::string Context;
+  /// Tempered CDFs of the contexts this instance has drawn from. Never
+  /// serialized or copied: clones and copies start with an empty memo.
+  TemperedCdfMemo Memo;
 
   void addSequence(ContextCounts &Building, const std::string &Entry) const;
 };

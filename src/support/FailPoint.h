@@ -100,16 +100,18 @@ public:
 /// Site macros. Use as `if (CLGS_FAILPOINT("store.write")) { <fail> }`.
 /// CLGS_FAILPOINT_KEYED threads a stable identity (accept index, cache
 /// key) into the decision so per-item streams are scheduling-independent.
+/// CLGS_FAILPOINT_STALL is a statement, `CLGS_FAILPOINT_STALL(SITE, KEY);`,
+/// with no value in either build.
 #if defined(CLGS_FAILPOINTS)
 #define CLGS_FAILPOINT(SITE) (::clgen::support::FailPoints::trip(SITE))
 #define CLGS_FAILPOINT_KEYED(SITE, KEY)                                        \
   (::clgen::support::FailPoints::trip(SITE, (KEY)))
 #define CLGS_FAILPOINT_STALL(SITE, KEY)                                        \
-  (::clgen::support::FailPoints::stall(SITE, (KEY)))
+  ((void)::clgen::support::FailPoints::stall(SITE, (KEY)))
 #else
 #define CLGS_FAILPOINT(SITE) (false)
 #define CLGS_FAILPOINT_KEYED(SITE, KEY) (false)
-#define CLGS_FAILPOINT_STALL(SITE, KEY) (false)
+#define CLGS_FAILPOINT_STALL(SITE, KEY) ((void)0)
 #endif
 
 #endif // CLGEN_SUPPORT_FAILPOINT_H

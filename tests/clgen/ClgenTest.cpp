@@ -5,6 +5,7 @@
 #include "clgen/Sampler.h"
 #include "clgen/Synthesizer.h"
 #include "githubsim/GithubSim.h"
+#include "model/TemperedDraw.h"
 
 #include <gtest/gtest.h>
 
@@ -122,53 +123,6 @@ TEST(SamplerTest, MalformedSeedIsRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// drawToken edge cases
-//===----------------------------------------------------------------------===//
-
-TEST(DrawTokenTest, EmptyDistributionYieldsEndOfText) {
-  Rng R(1);
-  std::vector<double> Empty;
-  EXPECT_EQ(drawToken(Empty, 0.85, R), model::Vocabulary::EndOfText);
-}
-
-TEST(DrawTokenTest, AllZeroDistributionYieldsEndOfText) {
-  Rng R(1);
-  std::vector<double> Zeros(16, 0.0);
-  EXPECT_EQ(drawToken(Zeros, 0.85, R), model::Vocabulary::EndOfText);
-}
-
-TEST(DrawTokenTest, ZeroProbabilityTokensAreNeverDrawn) {
-  Rng R(9);
-  std::vector<double> Dist = {0.0, 0.5, 0.0, 0.5, 0.0};
-  for (int I = 0; I < 500; ++I) {
-    int T = drawToken(Dist, 0.7, R);
-    EXPECT_TRUE(T == 1 || T == 3) << "drew zero-probability token " << T;
-  }
-}
-
-TEST(DrawTokenTest, TemperatureSharpensDistribution) {
-  Rng R(5);
-  std::vector<double> Dist = {0.25, 0.75};
-  int HotMajority = 0, ColdMajority = 0;
-  const int N = 4000;
-  for (int I = 0; I < N; ++I) {
-    HotMajority += drawToken(Dist, 1.0, R) == 1;
-    ColdMajority += drawToken(Dist, 0.25, R) == 1;
-  }
-  // At T=1 the majority token wins ~75%; at T=0.25 the p-ratio is cubed
-  // to 81:1 so it should win nearly always.
-  EXPECT_NEAR(HotMajority / static_cast<double>(N), 0.75, 0.05);
-  EXPECT_GT(ColdMajority / static_cast<double>(N), 0.95);
-}
-
-TEST(DrawTokenTest, DeterministicForEqualRngState) {
-  std::vector<double> Dist = {0.1, 0.2, 0.3, 0.4};
-  Rng A(77), B(77);
-  for (int I = 0; I < 100; ++I)
-    EXPECT_EQ(drawToken(Dist, 0.6, A), drawToken(Dist, 0.6, B));
-}
-
-//===----------------------------------------------------------------------===//
 // Synthesizer + pipeline (integration)
 //===----------------------------------------------------------------------===//
 
@@ -185,7 +139,77 @@ ClgenPipeline &sharedPipeline() {
   return P;
 }
 
+/// Algorithm 1 with the reference per-character draw, nextDistributionInto
+/// + drawToken, and sampleKernel's stopping rules.
+std::optional<std::string> referenceSample(model::LanguageModel &Model,
+                                           const std::string &Seed,
+                                           const SampleOptions &Opts,
+                                           Rng &R) {
+  const model::Vocabulary &Vocab = Model.vocabulary();
+  Model.reset();
+  int Depth = 0;
+  for (char C : Seed) {
+    Model.observe(Vocab.idOf(C));
+    Depth += (C == '{') - (C == '}');
+  }
+  if (Depth < 0)
+    return std::nullopt;
+  std::string Sample = Seed;
+  bool SeenOpen = Seed.find('{') != std::string::npos;
+  std::vector<double> Dist;
+  while (Sample.size() < Opts.MaxLength) {
+    Model.nextDistributionInto(Dist);
+    int Token = model::drawToken(Dist, Opts.Temperature, R);
+    if (Token == model::Vocabulary::EndOfText) {
+      if (Depth == 0 && SeenOpen)
+        return Sample;
+      return std::nullopt;
+    }
+    char C = Vocab.charOf(Token);
+    if (C == '{') {
+      ++Depth;
+      SeenOpen = true;
+    }
+    if (C == '}') {
+      if (Depth == 0)
+        return std::nullopt;
+      --Depth;
+    }
+    Sample += C;
+    Model.observe(Token);
+    if (C == '}' && Depth == 0)
+      return Sample;
+  }
+  return std::nullopt;
+}
+
 } // namespace
+
+TEST(SamplerTest, MemoizedDrawsMatchTheReferenceLoop) {
+  // One clone samples every attempt, as a synthesis worker does, so
+  // later attempts draw from contexts that earlier ones memoized.
+  std::unique_ptr<model::LanguageModel> Memo =
+      sharedPipeline().languageModel().clone();
+  std::unique_ptr<model::LanguageModel> Ref =
+      sharedPipeline().languageModel().clone();
+  Rng Base(0xC17E9);
+  size_t Kernels = 0;
+  for (uint64_t Attempt = 0; Attempt < 200; ++Attempt) {
+    // Half Figure 6 signatures at T = 0.5, half free mode at T = 0.85.
+    bool Spec = Attempt < 100;
+    std::string Seed =
+        Spec ? ArgSpec::figure6().seedText() : freeModeSeed();
+    SampleOptions Opts;
+    Opts.Temperature = Spec ? 0.5 : 0.85;
+    Rng A = Base.split(Attempt), B = Base.split(Attempt);
+    std::optional<std::string> Got = sampleKernel(*Memo, Seed, Opts, A);
+    std::optional<std::string> Want = referenceSample(*Ref, Seed, Opts, B);
+    ASSERT_EQ(Got, Want) << "attempt " << Attempt;
+    ASSERT_EQ(A.next(), B.next()) << "attempt " << Attempt;
+    Kernels += Got.has_value();
+  }
+  EXPECT_GT(Kernels, 0u);
+}
 
 TEST(SynthesizerTest, ProducesCompilableUniqueKernels) {
   SynthesisOptions Opts;

@@ -2,11 +2,16 @@
 
 #include "model/LstmModel.h"
 #include "model/NGramModel.h"
+#include "model/TemperedDraw.h"
 #include "model/Vocabulary.h"
+
+#include "corpus/Corpus.h"
+#include "githubsim/GithubSim.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 using namespace clgen;
 using namespace clgen::model;
@@ -134,6 +139,303 @@ TEST(NGramModelTest, BitsPerCharLowerForInDistributionText) {
       M.bitsPerChar("__kernel void A(__global float* a) {\n");
   double OffDist = M.bitsPerChar("qqqq zzzz wwww!!!");
   EXPECT_LT(InDist, OffDist);
+}
+
+//===----------------------------------------------------------------------===//
+// drawToken edge cases
+//===----------------------------------------------------------------------===//
+
+TEST(DrawTokenTest, EmptyDistributionYieldsEndOfText) {
+  Rng R(1);
+  std::vector<double> Empty;
+  EXPECT_EQ(drawToken(Empty, 0.85, R), model::Vocabulary::EndOfText);
+}
+
+TEST(DrawTokenTest, AllZeroDistributionYieldsEndOfText) {
+  Rng R(1);
+  std::vector<double> Zeros(16, 0.0);
+  EXPECT_EQ(drawToken(Zeros, 0.85, R), model::Vocabulary::EndOfText);
+}
+
+TEST(DrawTokenTest, ZeroProbabilityTokensAreNeverDrawn) {
+  Rng R(9);
+  std::vector<double> Dist = {0.0, 0.5, 0.0, 0.5, 0.0};
+  for (int I = 0; I < 500; ++I) {
+    int T = drawToken(Dist, 0.7, R);
+    EXPECT_TRUE(T == 1 || T == 3) << "drew zero-probability token " << T;
+  }
+}
+
+TEST(DrawTokenTest, TemperatureSharpensDistribution) {
+  Rng R(5);
+  std::vector<double> Dist = {0.25, 0.75};
+  int HotMajority = 0, ColdMajority = 0;
+  const int N = 4000;
+  for (int I = 0; I < N; ++I) {
+    HotMajority += drawToken(Dist, 1.0, R) == 1;
+    ColdMajority += drawToken(Dist, 0.25, R) == 1;
+  }
+  // At T=1 the majority token wins ~75%; at T=0.25 the p-ratio is cubed
+  // to 81:1 so it should win nearly always.
+  EXPECT_NEAR(HotMajority / static_cast<double>(N), 0.75, 0.05);
+  EXPECT_GT(ColdMajority / static_cast<double>(N), 0.95);
+}
+
+TEST(DrawTokenTest, NonPositiveTemperatureDrawsAtOneThousandth) {
+  // T <= 0 draws at T = 1e-3: nearly always the most likely token, and
+  // from equal generators exactly as T = 1e-3 does.
+  std::vector<double> Dist = {0.2, 0.5, 0.3};
+  Rng A(4), B(4), C(4);
+  for (int I = 0; I < 200; ++I) {
+    int AtThousandth = drawToken(Dist, 1e-3, A);
+    EXPECT_EQ(AtThousandth, 1);
+    EXPECT_EQ(drawToken(Dist, 0.0, B), AtThousandth);
+    EXPECT_EQ(drawToken(Dist, -1.0, C), AtThousandth);
+  }
+}
+
+TEST(DrawTokenTest, DeterministicForEqualRngState) {
+  std::vector<double> Dist = {0.1, 0.2, 0.3, 0.4};
+  Rng A(77), B(77);
+  for (int I = 0; I < 100; ++I)
+    EXPECT_EQ(drawToken(Dist, 0.6, A), drawToken(Dist, 0.6, B));
+}
+
+//===----------------------------------------------------------------------===//
+// Memoized draws: NGramModel::drawNext against drawToken
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The engine's standard n-gram: order 14 over the mined corpus.
+const NGramModel &order14Model(double UnigramSmoothing = 0.1) {
+  static const std::vector<std::string> Entries = [] {
+    githubsim::GithubSimOptions GOpts;
+    GOpts.FileCount = 200;
+    return corpus::buildCorpus(githubsim::mineGithub(GOpts),
+                               corpus::CorpusOptions())
+        .Entries;
+  }();
+  auto train = [](double Smoothing) {
+    NGramOptions Opts;
+    Opts.Order = 14;
+    Opts.UnigramSmoothing = Smoothing;
+    NGramModel M(Opts);
+    M.train(Entries);
+    return M;
+  };
+  static const NGramModel Smoothed = train(0.1);
+  static const NGramModel Unsmoothed = train(0.0);
+  return UnigramSmoothing == 0.0 ? Unsmoothed : Smoothed;
+}
+
+const double Temperatures[] = {0.0, 0.25, 0.5, 0.55, 0.85, 1.0, 2.0};
+
+/// Generators in the same state produce the same next values.
+bool sameState(Rng A, Rng B) {
+  return A.next() == B.next() && A.next() == B.next();
+}
+
+/// A memoized model and a reference copy of it, fed the memoized
+/// model's own samples in lockstep from equal generators. Every draw
+/// must equal drawToken over the reference's distribution and leave
+/// the generators equal.
+struct LockstepStream {
+  NGramModel Memo, Ref;
+  Rng A, B;
+  size_t Length = 0;
+
+  LockstepStream(const NGramModel &Trained, uint64_t Seed)
+      : Memo(Trained), Ref(Trained), A(Seed), B(Seed) {
+    restart();
+  }
+
+  void restart() {
+    for (NGramModel *M : {&Memo, &Ref}) {
+      M->reset();
+      M->observeText("__kernel void A(");
+    }
+    Length = 0;
+  }
+
+  void observe(int Token) {
+    Memo.observe(Token);
+    Ref.observe(Token);
+  }
+
+  /// One draw at \p Temperature, checked against the reference.
+  int step(double Temperature) {
+    std::vector<double> Dist = Ref.nextDistribution();
+    int Want = drawToken(Dist, Temperature, B);
+    int Got = Memo.drawNext(Temperature, A);
+    EXPECT_EQ(Got, Want) << "T=" << Temperature;
+    EXPECT_TRUE(sameState(A, B)) << "T=" << Temperature;
+    EXPECT_TRUE(Got == Vocabulary::EndOfText || Dist[Got] > 0.0)
+        << "drew zero-probability token " << Got;
+    return Got;
+  }
+
+  /// \p Steps draws at \p Temperature, each observed; end-of-text or a
+  /// 2048-character sample starts the next sample from the seed.
+  void run(double Temperature, size_t Steps) {
+    for (size_t I = 0; I < Steps && !::testing::Test::HasFailure(); ++I) {
+      int Token = step(Temperature);
+      if (Token == Vocabulary::EndOfText || ++Length == 2048)
+        restart();
+      else
+        observe(Token);
+    }
+  }
+};
+
+} // namespace
+
+TEST(TemperedDrawTest, DrawNextMatchesDrawTokenAtEveryTemperature) {
+  for (double T : Temperatures) {
+    LockstepStream S(order14Model(), 0xC17E9);
+    S.run(T, 3000);
+    // The model's own samples revisit their contexts.
+    EXPECT_LT(S.Memo.memoizedContexts(), 3000u) << "T=" << T;
+  }
+}
+
+TEST(TemperedDrawTest, ZeroSmoothingNeverDrawsZeroProbabilityTokens) {
+  // With no unigram floor most entries are exactly 0: they weigh 0 in
+  // the memo and drawToken skips them (step() checks every draw).
+  for (double T : Temperatures) {
+    LockstepStream S(order14Model(0.0), 0x5EED);
+    S.run(T, 1500);
+  }
+  // An untrained model has no count to back off to: drawNext and
+  // drawToken both end the text.
+  NGramOptions Opts;
+  Opts.UnigramSmoothing = 0.0;
+  NGramModel Untrained(Opts);
+  Rng A(3), B(3);
+  EXPECT_EQ(drawToken(Untrained.nextDistribution(), 0.85, B),
+            Vocabulary::EndOfText);
+  EXPECT_EQ(Untrained.drawNext(0.85, A), Vocabulary::EndOfText);
+  EXPECT_TRUE(sameState(A, B));
+}
+
+TEST(TemperedDrawTest, AllZeroDistributionYieldsEndOfText) {
+  TemperedCdfMemo Memo;
+  auto Zeros = [](std::vector<double> &D) { D.assign(16, 0.0); };
+  auto Empty = [](std::vector<double> &D) { D.clear(); };
+  Rng A(11), B(11);
+  for (int I = 0; I < 3; ++I) { // A miss, then hits.
+    EXPECT_EQ(Memo.draw("zeros", 0.85, A, Zeros), Vocabulary::EndOfText);
+    EXPECT_EQ(Memo.draw("empty", 0.85, A, Empty), Vocabulary::EndOfText);
+    B.uniform(); // One uniform per draw, as drawToken takes.
+    B.uniform();
+    EXPECT_TRUE(sameState(A, B));
+  }
+}
+
+TEST(TemperedDrawTest, UnigramBackoffContextMatches) {
+  // No stored context holds the sentinel, so "\0" backs off to the
+  // unigram level, whose distribution is dense: most entries are off
+  // the floor, in every checkpointed block.
+  LockstepStream S(order14Model(), 7);
+  for (double T : Temperatures) {
+    S.Memo.reset();
+    S.Ref.reset();
+    S.observe(Vocabulary::EndOfText);
+    std::vector<double> Dist = S.Ref.nextDistribution();
+    EXPECT_GT(std::set<double>(Dist.begin(), Dist.end()).size(),
+              2 * TemperedCdfMemo::BlockSize);
+    for (int I = 0; I < 400; ++I) // One miss, then hits.
+      S.step(T);
+    EXPECT_EQ(S.Memo.memoizedContexts(), 1u);
+  }
+}
+
+TEST(TemperedDrawTest, TemperatureChangeMidStreamClearsTheMemo) {
+  LockstepStream S(order14Model(), 0xBEEF);
+  S.run(0.5, 800);
+  EXPECT_GT(S.Memo.memoizedContexts(), 1u);
+  for (double T : {0.85, 0.5, 0.0, 0.5}) {
+    S.step(T); // The context stays; only the temperature moves.
+    EXPECT_EQ(S.Memo.memoizedContexts(), 1u) << "T=" << T;
+    S.restart();
+    S.run(T, 400);
+  }
+}
+
+TEST(TemperedDrawTest, UnderflowingWeightsMatchAtTinyTemperatures) {
+  // At T = 1e-3, w = p^1000: 0.4 and below underflow to 0, 0.49 is
+  // subnormal and 0.5 is normal. A distribution whose weights all
+  // underflow sums to 0 and ends the text in both draws.
+  const std::vector<std::vector<double>> Dists = {
+      {0.3, 0.3, 0.4},
+      {0.01, 0.49, 0.5},
+      {0.49, 0.01, 0.01, 0.49},
+      {0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.55},
+  };
+  for (double T : {0.0, 1e-3, 0.01, 0.25}) {
+    TemperedCdfMemo Memo;
+    Rng A(5), B(5);
+    for (int Round = 0; Round < 50; ++Round) {
+      for (size_t K = 0; K < Dists.size(); ++K) {
+        int Want = drawToken(Dists[K], T, B);
+        int Got = Memo.draw(std::string(1, static_cast<char>('a' + K)), T,
+                            A, [&](std::vector<double> &D) { D = Dists[K]; });
+        ASSERT_EQ(Got, Want) << "T=" << T << ", distribution " << K;
+        ASSERT_TRUE(sameState(A, B));
+      }
+    }
+  }
+  Rng R(1);
+  TemperedCdfMemo Memo;
+  EXPECT_EQ(Memo.draw("a", 0.0, R,
+                      [&](std::vector<double> &D) { D = Dists[0]; }),
+            Vocabulary::EndOfText);
+}
+
+TEST(TemperedDrawTest, CloneStartsWithAnEmptyMemo) {
+  auto fill = [](NGramModel &M) {
+    Rng R(9);
+    M.reset();
+    M.observeText("__kernel void A(");
+    for (int I = 0; I < 50; ++I)
+      M.observe(M.drawNext(0.5, R));
+    return M.memoizedContexts();
+  };
+  NGramModel M = order14Model();
+  EXPECT_EQ(M.memoizedContexts(), 0u); // Copies start empty too.
+  size_t Filled = fill(M);
+  ASSERT_GT(Filled, 0u);
+  std::unique_ptr<LanguageModel> C = M.clone();
+  EXPECT_EQ(static_cast<NGramModel &>(*C).memoizedContexts(), 0u);
+  EXPECT_EQ(M.memoizedContexts(), Filled);
+  // Assigning another model drops the target's memo: it memoized a
+  // different model's distributions.
+  NGramModel Assigned(NGramOptions{});
+  Assigned.train({"__kernel void A(int a) { }"});
+  ASSERT_GT(fill(Assigned), 0u);
+  Assigned = M;
+  EXPECT_EQ(Assigned.memoizedContexts(), 0u);
+}
+
+TEST(TemperedDrawTest, StreamPastTheMemoCapStaysExact) {
+  LockstepStream S(order14Model(), 0xCA9);
+  S.run(0.5, 2000);
+  // Random windows are fresh contexts: fill the memo to its cap and run
+  // past it. Later misses draw through drawToken.
+  Rng Noise(17);
+  const int V = static_cast<int>(S.Memo.vocabulary().size());
+  for (size_t I = 0; I < TemperedCdfMemo::MaxContexts + 1000 &&
+                     !HasFailure();
+       ++I) {
+    S.observe(static_cast<int>(Noise.range(1, V - 1)));
+    S.step(0.5);
+  }
+  EXPECT_EQ(S.Memo.memoizedContexts(), TemperedCdfMemo::MaxContexts);
+  // The model's own samples again: memoized contexts hit, new ones
+  // miss, and the memo stays full.
+  S.restart();
+  S.run(0.5, 2000);
+  EXPECT_EQ(S.Memo.memoizedContexts(), TemperedCdfMemo::MaxContexts);
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,13 +8,12 @@
 // refill accounting is exactly-once, surviving measurements all
 // succeeded, and the store directory never holds a torn entry (every
 // file is either a structurally-sound archive or an in-flight temp
-// file). In builds without compiled-in failpoints the soak still runs,
-// driven by the model's natural deterministic measurement failures
-// instead of injection.
+// file). Builds into clgen_failpoint_stress_tests, which links a library
+// with the sites compiled in, so every tree runs the armed schedules.
 //
-// Registered under the ctest label "stress" (tests/stress/ glob); the
-// sanitizer matrix runs it via `ctest -L stress` in -DCLGS_SANITIZE
-// trees, which is what makes the multi-worker rounds TSan coverage.
+// Registered under the ctest label "stress"; the sanitizer matrix runs
+// it via `ctest -L stress` in -DCLGS_SANITIZE trees, which is what
+// makes the multi-worker rounds TSan coverage.
 //
 //===----------------------------------------------------------------------===//
 
@@ -96,13 +95,13 @@ TEST(FaultSoakTest, RandomizedSchedulesNeverHangOrTearTheStore) {
   POpts.NGram.Order = 8;
   ClgenPipeline Pipeline = ClgenPipeline::train(Files, POpts);
 
-  const bool Injecting = support::FailPoints::sitesCompiledIn();
-  ScratchDir Dir(Injecting ? "injected" : "natural");
+  ASSERT_TRUE(support::FailPoints::sitesCompiledIn())
+      << "clgen_failpoint_stress_tests must link a library with the sites in";
+  ScratchDir Dir("injected");
 
   StreamingOptions Base;
   // Target 8 spans several natural deterministic out-of-bounds traps in
-  // this model's accept stream, so the soak exercises refill even with
-  // the sites compiled out.
+  // this model's accept stream, so refill also meets real failures.
   Base.Synthesis.TargetKernels = 8;
   Base.Synthesis.MaxAttempts = 30000;
   Base.Synthesis.Workers = 2;
@@ -112,31 +111,27 @@ TEST(FaultSoakTest, RandomizedSchedulesNeverHangOrTearTheStore) {
   Base.MeasureWorkers = 4;
   Base.QueueCapacity = 2;
 
-  const size_t Rounds = Injecting ? 8 : 3;
-  for (size_t Round = 0; Round < Rounds; ++Round) {
-    if (Injecting) {
-      // A different seed per round randomizes which sites fire, at
-      // which keys and evaluation counts; the fire cap bounds every
-      // schedule so the refill loop always has a fault-free tail.
-      support::FailPlan Plan;
-      Plan.Seed = 0x50AC + Round * 7919;
-      Plan.Probability = Round % 2 ? 0.25 : 0.08;
-      Plan.MaxFiresPerSite = 40;
-      Plan.StallMs = 20;
-      support::FailPoints::arm(Plan);
-    }
+  for (size_t Round = 0; Round < 8; ++Round) {
+    // A different seed per round randomizes which sites fire, at which
+    // keys and evaluation counts; the fire cap bounds every schedule so
+    // the refill loop always has a fault-free tail.
+    support::FailPlan Plan;
+    Plan.Seed = 0x50AC + Round * 7919;
+    Plan.Probability = Round % 2 ? 0.25 : 0.08;
+    Plan.MaxFiresPerSite = 40;
+    Plan.StallMs = 20;
+    support::FailPoints::arm(Plan);
 
     store::ResultCache Cache(Dir.str() + "/results");
     store::FailureLedger Ledger(Dir.str() + "/failures");
     StreamingOptions Opts = Base;
     Opts.Cache = &Cache;
     Opts.Ledger = &Ledger;
-    Opts.Driver.WatchdogMs = Injecting ? 10 : 0;
+    Opts.Driver.WatchdogMs = 10;
 
     StreamingResult Out =
         Pipeline.synthesizeAndMeasure(runtime::amdPlatform(), Opts);
-    if (Injecting)
-      support::FailPoints::disarm();
+    support::FailPoints::disarm();
 
     expectExactlyOnceAccounting(Out);
     EXPECT_EQ(Out.Kernels.size(), Base.Synthesis.TargetKernels)
