@@ -5,24 +5,19 @@
 // runtime estimation — including what happens to kernels that do NOT
 // perform useful work.
 //
-// With --cache-dir DIR it instead runs the persistent-store pipeline:
-// ClgenPipeline::trainOrLoad warm-starts the model from DIR, synthesis
-// runs as usual (bit-identical either way), and driver measurements go
-// through the content-addressed ResultCache — rerunning the command
-// with a populated DIR skips training and every kernel execution.
-//
-//   ./example_benchmark_runner --cache-dir /tmp/clgen-cache [--kernels N]
-//
-// With --pipeline the synthesis→measurement phase barrier is replaced
-// by the streaming engine (core::synthesizeAndMeasure): accepted
+// With --pipeline it instead trains CLgen and runs the 40-kernel
+// synthesis→measurement pipeline (core::synthesizeAndMeasure): accepted
 // kernels flow through a bounded channel into measurement workers while
 // synthesis keeps sampling, and the report includes overlap timings
-// (producer wall time vs the measurement drain tail). Output is
-// bit-identical to the phased run. Combines with --cache-dir, in which
-// case cache hits are resolved at enqueue time and never occupy a
-// measurement slot — and the kernel set itself persists: a warm rerun
-// loads the archived kernels instead of sampling (zero sample
-// attempts), byte-identical to the cold run.
+// (producer wall time vs the measurement drain tail).
+//
+// --cache-dir DIR runs the same pipeline on top of the persistent
+// artifact store (and implies --pipeline): ClgenPipeline::trainOrLoad
+// warm-starts the model, synthesizeAndMeasureOrLoad persists the kernel
+// set, and the result cache and failure ledger are probed at enqueue
+// time. A warm rerun loads the archived kernels instead of sampling
+// (zero sample attempts) and measures nothing, byte-identical to the
+// cold run.
 //
 //   ./example_benchmark_runner --pipeline [--cache-dir DIR] [--kernels N]
 //       [--measure-workers N] [--queue N]
@@ -67,9 +62,7 @@ namespace {
 
 /// Phase stopwatch: wall time in ms for the console report, mirrored
 /// onto the metrics registry as a volatile gauge so --metrics-out
-/// carries the same phase timings the console prints. One definition
-/// replaces the per-phase steady_clock arithmetic the two pipeline
-/// modes used to duplicate.
+/// carries the same phase timings the console prints.
 class PhaseTimer {
 public:
   explicit PhaseTimer(const char *GaugeName)
@@ -88,7 +81,8 @@ private:
   uint64_t T0;
 };
 
-/// Everything the flag parser collects; both pipeline modes consume it.
+/// Everything the flag parser collects; the pipeline and experiment
+/// modes consume it.
 struct RunnerConfig {
   std::string CacheDir;
   size_t TargetKernels = 40;
@@ -158,36 +152,25 @@ struct FailureTally {
   int exitCode() const { return Ok == 0 ? 3 : 0; }
 };
 
-/// Model/corpus configuration shared by the cached and streaming modes.
-core::PipelineOptions buildPipelineOptions(const RunnerConfig &Cfg) {
+/// The pipeline's setup: mine the simulated corpus, then train the
+/// model — warm-starting from the store when a cache directory is
+/// configured. Prints the model line; returns nullopt (after printing
+/// the error) when the store is unusable.
+std::optional<core::ClgenPipeline> prepareModel(const RunnerConfig &Cfg) {
+  githubsim::GithubSimOptions GOpts;
+  GOpts.FileCount = Cfg.FileCount;
+  auto Files = githubsim::mineGithub(GOpts);
+
   core::PipelineOptions POpts;
   POpts.NGram.Order = 14;
   if (Cfg.UseLstm) {
     POpts.Backend = core::ModelBackend::Lstm;
     POpts.Lstm.BatchLanes = Cfg.TrainLanes;
     POpts.Train.Workers = Cfg.TrainWorkers;
-  }
-  return POpts;
-}
-
-void printModelConfig(const RunnerConfig &Cfg) {
-  if (Cfg.UseLstm)
     std::printf("backend: lstm (%d lanes, %u train workers%s)\n",
                 Cfg.TrainLanes, Cfg.TrainWorkers,
                 Cfg.TrainWorkers == 0 ? " = hardware" : "");
-}
-
-/// The setup sequence both pipeline modes share: mine the simulated
-/// corpus, then train the model — warm-starting from the store when a
-/// cache directory is configured. Prints the model line; returns
-/// nullopt (after printing the error) when the store is unusable.
-std::optional<core::ClgenPipeline> prepareModel(const RunnerConfig &Cfg) {
-  githubsim::GithubSimOptions GOpts;
-  GOpts.FileCount = Cfg.FileCount;
-  auto Files = githubsim::mineGithub(GOpts);
-
-  core::PipelineOptions POpts = buildPipelineOptions(Cfg);
-  printModelConfig(Cfg);
+  }
 
   PhaseTimer Train("clgen.runner.train_us");
   if (Cfg.CacheDir.empty()) {
@@ -211,73 +194,11 @@ std::optional<core::ClgenPipeline> prepareModel(const RunnerConfig &Cfg) {
   return Loaded.take();
 }
 
-/// The --cache-dir mode: the standard 40-kernel synthesis + measurement
-/// configuration (the BENCH_perf.json end-to-end workload) on top of the
-/// artifact store. Cold runs train + execute and populate DIR; warm
-/// runs load the model and serve every measurement from cache.
-int runCachedPipeline(const RunnerConfig &Cfg) {
-  const std::string &CacheDir = Cfg.CacheDir;
-  PhaseTimer Total("clgen.runner.total_us");
-
-  std::optional<core::ClgenPipeline> Pipeline = prepareModel(Cfg);
-  if (!Pipeline)
-    return 1;
-
-  core::SynthesisOptions SOpts;
-  SOpts.TargetKernels = Cfg.TargetKernels;
-  SOpts.Sampling.Temperature = 0.5;
-  SOpts.Workers = 0;
-  PhaseTimer Synthesis("clgen.runner.synthesis_us");
-  bool SynthLoaded = false;
-  auto Synth = Pipeline->synthesizeOrLoad(CacheDir, SOpts, &SynthLoaded);
-  std::printf("synthesis: %zu kernels %s in %.1f ms (%zu attempts)\n",
-              Synth.Kernels.size(),
-              SynthLoaded ? "loaded from store" : "sampled + persisted",
-              Synthesis.stopMs(), Synth.Stats.Attempts);
-
-  std::vector<vm::CompiledKernel> Kernels;
-  Kernels.reserve(Synth.Kernels.size());
-  for (auto &K : Synth.Kernels)
-    Kernels.push_back(std::move(K.Kernel));
-
-  runtime::DriverOptions DOpts;
-  DOpts.GlobalSize = 16384;
-  DOpts.WatchdogMs = Cfg.WatchdogMs;
-  DOpts.MaxRetries = Cfg.Retries;
-  DOpts.Profile = Cfg.Profile;
-  store::ResultCache Cache(CacheDir + "/results");
-  store::FailureLedger Ledger(CacheDir + "/failures");
-  runtime::BatchCacheStats CStats;
-  PhaseTimer Measure("clgen.runner.measure_us");
-  auto Results = runtime::runBenchmarkBatch(Kernels, runtime::amdPlatform(),
-                                            DOpts, 0, Cache, &CStats,
-                                            &Ledger);
-  double MeasureMs = Measure.stopMs();
-
-  size_t GpuBest = 0;
-  FailureTally Tally;
-  for (const auto &R : Results) {
-    Tally.add(R);
-    if (R.ok() && R.get().gpuIsBest())
-      ++GpuBest;
-  }
-  std::printf("measurement: %zu kernels in %.1f ms — cache hits %zu, "
-              "misses %zu, ledger hits %zu, failures recorded %zu\n",
-              Results.size(), MeasureMs, CStats.Hits, CStats.Misses,
-              CStats.LedgerHits, CStats.LedgerRecords);
-  std::printf("mapping: %zu best on GPU, %zu on CPU, %zu failed\n", GpuBest,
-              Tally.Ok - GpuBest, Tally.Failed);
-  Tally.print();
-  std::printf("pipeline total: %.1f ms\n", Total.stopMs());
-  return Tally.exitCode();
-}
-
-/// The --pipeline mode: the same 40-kernel workload as --cache-dir, but
-/// synthesis and measurement run as a bounded producer/consumer
-/// pipeline instead of two phases. Prints the overlap evidence: how
-/// long the producer ran, and how long measurement kept draining after
-/// the last kernel was accepted.
-int runStreamingPipeline(const RunnerConfig &Cfg) {
+/// The --pipeline / --cache-dir mode: the standard 40-kernel synthesis +
+/// measurement workload as one bounded producer/consumer pipeline.
+/// Prints the overlap evidence: how long the producer ran, and how long
+/// measurement kept draining after the last kernel was accepted.
+int runPipeline(const RunnerConfig &Cfg) {
   const std::string &CacheDir = Cfg.CacheDir;
   PhaseTimer Total("clgen.runner.total_us");
 
@@ -307,10 +228,10 @@ int runStreamingPipeline(const RunnerConfig &Cfg) {
     SOpts.Ledger = Ledger.get();
   }
 
-  // With a cache directory the streaming run itself is warm-startable:
-  // the persisted kernel-set artifact (shared with synthesizeOrLoad)
-  // replaces the sampler as the channel producer, so a warm rerun
-  // performs zero sampling while producing byte-identical results.
+  // With a cache directory the run is warm-startable: the persisted
+  // kernel-set artifact replaces the sampler as the channel producer,
+  // so a warm rerun performs zero sampling while producing
+  // byte-identical results.
   core::StreamingResult Out;
   core::StreamingWarmInfo Warm;
   if (CacheDir.empty()) {
@@ -543,16 +464,16 @@ void printUsage(const char *Prog, std::FILE *Out) {
       "execution), then a batched measurement demo.\n"
       "\n"
       "Pipeline modes:\n"
-      "  --cache-dir DIR       run the 40-kernel pipeline on top of the\n"
-      "                        persistent artifact store in DIR: cold runs\n"
-      "                        train + execute and populate it, warm runs\n"
-      "                        load the model and serve measurements from\n"
-      "                        the result cache\n"
-      "  --pipeline            stream synthesis straight into measurement\n"
-      "                        (bounded producer/consumer channel) instead\n"
-      "                        of two phases; combines with --cache-dir,\n"
-      "                        where warm reruns load the persisted kernel\n"
-      "                        set and perform zero sampling\n"
+      "  --pipeline            run the 40-kernel pipeline: synthesis streams\n"
+      "                        straight into measurement through a bounded\n"
+      "                        producer/consumer channel\n"
+      "  --cache-dir DIR       run the same pipeline (implies --pipeline) on\n"
+      "                        top of the persistent artifact store in DIR:\n"
+      "                        cold runs train, sample and measure and\n"
+      "                        populate it; warm runs load the model and\n"
+      "                        the kernel set (zero sampling) and serve\n"
+      "                        measurements from the result cache and the\n"
+      "                        failure ledger\n"
       "  --experiment          run the paper's closing loop on the pinned\n"
       "                        golden configuration: train CLgen, measure\n"
       "                        synthetic + real benchmarks, cross-validate\n"
@@ -592,7 +513,7 @@ void printUsage(const char *Prog, std::FILE *Out) {
       "                        and the artifact fingerprint; 1 = the\n"
       "                        paper's chunk-sequential SGD\n"
       "\n"
-      "Streaming knobs (with --pipeline; scheduling only, output is\n"
+      "Streaming knobs (pipeline modes; scheduling only, output is\n"
       "bit-identical for every value):\n"
       "  --measure-workers N   measurement consumer threads; 0 = hardware\n"
       "                        concurrency (default)\n"
@@ -601,9 +522,8 @@ void printUsage(const char *Prog, std::FILE *Out) {
       "Fault tolerance (pipeline modes):\n"
       "  --refill              excise kernels whose measurement failed and\n"
       "                        resume synthesis for replacements until the\n"
-      "                        target count of measurements succeeds\n"
-      "                        (--pipeline only); excisions are reported\n"
-      "                        per trap class\n"
+      "                        target count of measurements succeeds;\n"
+      "                        excisions are reported per trap class\n"
       "  --watchdog-ms N       per-launch wall-clock watchdog in ms; a\n"
       "                        stalled kernel fails as watchdog-timeout\n"
       "                        instead of wedging the batch (0 = off,\n"
@@ -619,9 +539,9 @@ void printUsage(const char *Prog, std::FILE *Out) {
       "bit-identical with or without these flags):\n"
       "  --trace-out FILE      write Chrome trace-event JSON of the run\n"
       "                        (a span per kernel lifecycle stage: sample,\n"
-      "                        accept, enqueue, measure, cache/ledger\n"
-      "                        writes; load in Perfetto); requires a build\n"
-      "                        with -DCLGS_TELEMETRY=ON\n"
+      "                        filter, accept, enqueue, measure,\n"
+      "                        cache/ledger writes; load in Perfetto);\n"
+      "                        requires a build with -DCLGS_TELEMETRY=ON\n"
       "  --metrics-out FILE    write the metrics registry text exposition\n"
       "                        after the run; requires -DCLGS_TELEMETRY=ON\n"
       "  --profile-vm          aggregate per-opcode and opcode-pair\n"
@@ -815,13 +735,9 @@ int main(int Argc, char **Argv) {
                          "--backend lstm\n");
     return 2;
   }
-  if (Cfg.StreamFlagSet && !Cfg.Pipeline) {
-    std::fprintf(stderr,
-                 "--measure-workers/--queue only apply to --pipeline\n");
-    return 2;
-  }
-  if (Cfg.Refill && !Cfg.Pipeline) {
-    std::fprintf(stderr, "--refill only applies to --pipeline\n");
+  if ((Cfg.StreamFlagSet || Cfg.Refill) && !PipelineMode) {
+    std::fprintf(stderr, "--measure-workers/--queue/--refill require a "
+                         "pipeline mode (--cache-dir and/or --pipeline)\n");
     return 2;
   }
   if (Cfg.DriverFlagSet && !PipelineMode) {
@@ -864,10 +780,8 @@ int main(int Argc, char **Argv) {
   int Exit = -1;
   if (Cfg.Experiment)
     Exit = runExperimentMode(Cfg);
-  else if (Cfg.Pipeline)
-    Exit = runStreamingPipeline(Cfg);
-  else if (!Cfg.CacheDir.empty())
-    Exit = runCachedPipeline(Cfg);
+  else if (Cfg.Pipeline || !Cfg.CacheDir.empty())
+    Exit = runPipeline(Cfg);
   if (Exit >= 0) {
     if (!flushTelemetry(Cfg, VmProfile) && Exit == 0)
       Exit = 1;

@@ -141,11 +141,17 @@ for DOC in "${DOCS[@]}"; do
     if printf '%s' "$TOKEN" | grep -Eq '^[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_~][A-Za-z0-9_]*)+(\(\))?$'; then
       # Every component must appear in src/ next to its neighbour; the
       # cheap-but-sharp approximation is grepping for the trailing
-      # "Parent::Leaf" pair (or "Leaf" declarations for ns::Leaf).
-      PAIR=$(printf '%s' "$TOKEN" | sed 's/()$//' | awk -F'::' '{ print $(NF-1) "::" $NF }')
+      # "Parent::Leaf" pair, or else for a "Leaf" declaration in a file
+      # that opens the Parent scope (namespace, class or struct Parent),
+      # so a symbol that moved to another namespace is caught.
+      PARENT=$(printf '%s' "$TOKEN" | sed 's/()$//' | awk -F'::' '{ print $(NF-1) }')
       LEAF=$(printf '%s' "$TOKEN" | sed 's/()$//' | awk -F'::' '{ print $NF }')
-      if ! grep -rqF "$PAIR" src/ && ! grep -rqE "(struct|class|enum class|void|bool|double|float|[A-Za-z0-9_>&*] )${LEAF}[[:space:](;{]" src/; then
-        fail "$DOC references symbol \`$TOKEN\` not found in src/"
+      if ! grep -rqF "$PARENT::$LEAF" src/; then
+        mapfile -t SCOPES < <(grep -rlE "(namespace|class|struct)[[:space:]]+${PARENT}([[:space:]]*[{:]|[[:space:]]*\$|[[:space:]]+final)" src/)
+        if [ "${#SCOPES[@]}" -eq 0 ] ||
+           ! grep -qE "(struct|class|enum class|void|bool|double|float|[A-Za-z0-9_>&*] )${LEAF}[[:space:](;{]" "${SCOPES[@]}"; then
+          fail "$DOC references symbol \`$TOKEN\` not found in src/"
+        fi
       fi
       continue
     fi

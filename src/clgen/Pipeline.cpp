@@ -53,9 +53,124 @@ SynthesisResult ClgenPipeline::synthesize(const SynthesisOptions &Opts) {
   return synthesizeKernels(*Model, Opts);
 }
 
-StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
-                                           const runtime::Platform &P,
-                                           const StreamingOptions &Opts) {
+namespace {
+
+/// Deserializes a persisted kernel-set artifact (stats + verified
+/// kernels). nullopt on any corruption — callers re-synthesize and
+/// overwrite.
+std::optional<SynthesisResult> loadSynthesisArtifact(const std::string &Path) {
+  auto Opened = store::ArchiveReader::open(Path,
+                                           store::ArchiveKind::Synthesis);
+  if (!Opened.ok())
+    return std::nullopt;
+  store::ArchiveReader R = Opened.take();
+  SynthesisResult Out;
+  Out.Stats.Attempts = R.readU64();
+  Out.Stats.IncompleteSamples = R.readU64();
+  Out.Stats.RejectedByFilter = R.readU64();
+  Out.Stats.Duplicates = R.readU64();
+  Out.Stats.Accepted = R.readU64();
+  uint64_t KernelCount = R.readU64();
+  for (uint64_t I = 0; I < KernelCount && R.ok(); ++I) {
+    SynthesizedKernel K;
+    K.Source = R.readString();
+    K.Kernel = store::deserializeCompiledKernel(R);
+    // The checksum authenticates bytes, not semantics: reject any
+    // archive whose bytecode would not pass the compiler's own
+    // invariants before it can reach the interpreter.
+    if (R.ok() && !vm::verifyKernel(K.Kernel).empty())
+      R.fail("stored kernel fails bytecode verification: " +
+             vm::verifyKernel(K.Kernel));
+    Out.Kernels.push_back(std::move(K));
+  }
+  if (!R.finish().ok())
+    return std::nullopt; // Corrupt: re-synthesize and overwrite.
+  return Out;
+}
+
+/// Persists a kernel-set artifact. Best-effort: a failed write just
+/// stays cold.
+void saveSynthesisArtifact(const std::string &Path,
+                           const SynthesisResult &Out) {
+  store::ArchiveWriter W(store::ArchiveKind::Synthesis);
+  W.writeU64(Out.Stats.Attempts);
+  W.writeU64(Out.Stats.IncompleteSamples);
+  W.writeU64(Out.Stats.RejectedByFilter);
+  W.writeU64(Out.Stats.Duplicates);
+  W.writeU64(Out.Stats.Accepted);
+  W.writeU64(Out.Kernels.size());
+  for (const SynthesizedKernel &K : Out.Kernels) {
+    W.writeString(K.Source);
+    store::serializeCompiledKernel(W, K.Kernel);
+  }
+  (void)W.saveTo(Path);
+}
+
+/// Where the kernel-set artifact of \p KeyDigest lives under \p CacheDir
+/// (created on demand).
+std::string synthesisArtifactPath(const std::string &CacheDir,
+                                  uint64_t KeyDigest) {
+  std::error_code Ec;
+  std::filesystem::create_directories(CacheDir, Ec);
+  return CacheDir + "/synthesis-" + store::hexDigest(KeyDigest) + ".clgs";
+}
+
+/// The warm-start probe of both memoizing entry points. The first probe
+/// is lock-free, so warm stores never touch a lock file. A miss takes
+/// the advisory "synthesis" lock of \p KeyDigest and re-probes once it
+/// is held, even when it was uncontended: a racer may have published
+/// and released since the first probe, and holders publish before
+/// releasing, so concurrent cold runs of one configuration sample
+/// exactly once. On a miss \p Lock stays held until the caller has
+/// sampled and published. A lock failure or timeout degrades to
+/// duplicated work, never an error: every writer publishes via atomic
+/// rename.
+std::optional<SynthesisResult>
+probeSynthesisArtifact(const std::string &CacheDir, const std::string &Path,
+                       uint64_t KeyDigest, store::ScopedLock &Lock) {
+  if (auto Hit = loadSynthesisArtifact(Path))
+    return Hit;
+  Lock = store::ScopedLock::acquireForMiss(
+      store::lockFilePath(CacheDir, "synthesis", KeyDigest));
+  if (Lock.held())
+    return loadSynthesisArtifact(Path);
+  return std::nullopt;
+}
+
+/// A stored kernel set as the producer of the measurement stage: it
+/// hands the loaded kernels over in accept order and samples nothing.
+/// It has the SynthesisEngine members streamAndMeasure uses. The set
+/// was stored under the same synthesis options, so the first round
+/// delivers all of it.
+class LoadedKernels {
+public:
+  explicit LoadedKernels(SynthesisResult Loaded) : Set(std::move(Loaded)) {}
+
+  void extendTo(size_t /*CumTarget*/, const AcceptSink &Sink) {
+    for (; Next < Set.Kernels.size(); ++Next)
+      Sink(Next, Set.Kernels[Next]);
+  }
+  bool exhausted() const { return Next >= Set.Kernels.size(); }
+  const SynthesisStats &stats() const { return Set.Stats; }
+  std::vector<SynthesizedKernel> takeKernels() {
+    return std::move(Set.Kernels);
+  }
+
+private:
+  SynthesisResult Set;
+  size_t Next = 0;
+};
+
+/// The one measurement stage. \p Source produces kernels in accept
+/// order: a SynthesisEngine samples them (cold), LoadedKernels replays a
+/// stored set (warm, zero sampling by construction). Kernel i is
+/// measured under batchDriverOptions(Driver, Rng(Driver.Seed), i)
+/// whichever source produced it, so measurements and cache keys do not
+/// depend on the source.
+template <typename KernelSource>
+StreamingResult streamAndMeasure(KernelSource &Source,
+                                 const runtime::Platform &P,
+                                 const StreamingOptions &Opts) {
   using Clock = std::chrono::steady_clock;
   auto MsBetween = [](Clock::time_point A, Clock::time_point B) {
     return std::chrono::duration<double, std::milli>(B - A).count();
@@ -82,7 +197,6 @@ StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
                         : std::max<size_t>(MeasureWorkers * 2, 8);
 
   Rng Base(Opts.Driver.Seed);
-  SynthesisEngine Eng(Model, Opts.Synthesis);
 
   double SynthMs = 0.0, DrainMs = 0.0;
   size_t Scanned = 0; // Slots already swept for ledger recording.
@@ -118,10 +232,7 @@ StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
     std::function<void()> CloseFn = CloseAndJoin;
     Guard JoinGuard{CloseFn};
 
-    // The producer: the in-order accept stage hands each kernel over
-    // the moment it is admitted. The batch-seed derivation matches
-    // runBenchmarkBatch exactly, so streaming results (and cache keys)
-    // are those of the phased path.
+    // The producer hands each kernel over the moment it is accepted.
     AcceptSink Enqueue = [&](size_t Index, const SynthesizedKernel &SK) {
       CLGS_TRACE_SPAN_IDX("enqueue", Index);
       Slots.push_back(Result<runtime::Measurement>::error("not measured"));
@@ -175,7 +286,7 @@ StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
     };
 
     Clock::time_point RoundStart = Clock::now();
-    Eng.extendTo(CumTarget, Enqueue);
+    Source.extendTo(CumTarget, Enqueue);
     Clock::time_point RoundSynthDone = Clock::now();
     CloseAndJoin();
     DrainMs += MsBetween(RoundSynthDone, Clock::now());
@@ -220,7 +331,7 @@ StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
       return N;
     };
     size_t Ok = CountOk();
-    while (Ok < Target && !Eng.exhausted()) {
+    while (Ok < Target && !Source.exhausted()) {
       size_t Before = Slots.size();
       RunRound(Slots.size() + (Target - Ok));
       if (Slots.size() == Before)
@@ -230,8 +341,8 @@ StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
   }
   Clock::time_point End = Clock::now();
 
-  std::vector<SynthesizedKernel> AllKernels = Eng.takeKernels();
-  Out.Stats = Eng.stats();
+  std::vector<SynthesizedKernel> AllKernels = Source.takeKernels();
+  Out.Stats = Source.stats();
   if (Opts.RefillFailures) {
     // Excision: survivors keep their accept-order positions relative
     // to each other; failures move to Excised with their classified
@@ -263,186 +374,14 @@ StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
   return Out;
 }
 
-namespace {
-
-/// Deserializes a persisted kernel-set artifact (stats + verified
-/// kernels). nullopt on any corruption — callers re-synthesize and
-/// overwrite. Shared by synthesizeOrLoad and the streaming warm start.
-std::optional<SynthesisResult> loadSynthesisArtifact(const std::string &Path) {
-  auto Opened = store::ArchiveReader::open(Path,
-                                           store::ArchiveKind::Synthesis);
-  if (!Opened.ok())
-    return std::nullopt;
-  store::ArchiveReader R = Opened.take();
-  SynthesisResult Out;
-  Out.Stats.Attempts = R.readU64();
-  Out.Stats.IncompleteSamples = R.readU64();
-  Out.Stats.RejectedByFilter = R.readU64();
-  Out.Stats.Duplicates = R.readU64();
-  Out.Stats.Accepted = R.readU64();
-  uint64_t KernelCount = R.readU64();
-  for (uint64_t I = 0; I < KernelCount && R.ok(); ++I) {
-    SynthesizedKernel K;
-    K.Source = R.readString();
-    K.Kernel = store::deserializeCompiledKernel(R);
-    // The checksum authenticates bytes, not semantics: reject any
-    // archive whose bytecode would not pass the compiler's own
-    // invariants before it can reach the interpreter.
-    if (R.ok() && !vm::verifyKernel(K.Kernel).empty())
-      R.fail("stored kernel fails bytecode verification: " +
-             vm::verifyKernel(K.Kernel));
-    Out.Kernels.push_back(std::move(K));
-  }
-  if (!R.finish().ok())
-    return std::nullopt; // Corrupt: re-synthesize and overwrite.
-  return Out;
-}
-
-/// Persists a kernel-set artifact. Best-effort: a failed write just
-/// stays cold.
-void saveSynthesisArtifact(const std::string &Path,
-                           const SynthesisResult &Out) {
-  store::ArchiveWriter W(store::ArchiveKind::Synthesis);
-  W.writeU64(Out.Stats.Attempts);
-  W.writeU64(Out.Stats.IncompleteSamples);
-  W.writeU64(Out.Stats.RejectedByFilter);
-  W.writeU64(Out.Stats.Duplicates);
-  W.writeU64(Out.Stats.Accepted);
-  W.writeU64(Out.Kernels.size());
-  for (const SynthesizedKernel &K : Out.Kernels) {
-    W.writeString(K.Source);
-    store::serializeCompiledKernel(W, K.Kernel);
-  }
-  (void)W.saveTo(Path);
-}
-
-/// The streaming warm path: measures an already-loaded kernel set. The
-/// producer is an archive reader, not a sampler — no SynthesisEngine
-/// exists, so the request performs zero sampling by construction. The
-/// per-kernel seed derivation (accept index into batchDriverOptions),
-/// the enqueue-time cache/ledger probes and the ledger sweep are the
-/// same as the cold pipeline, so measurements (and cache keys) are
-/// byte-identical to a cold run of the same configuration.
-StreamingResult measureLoadedKernels(SynthesisResult Loaded,
-                                     const runtime::Platform &P,
-                                     const StreamingOptions &Opts) {
-  using Clock = std::chrono::steady_clock;
-  auto MsBetween = [](Clock::time_point A, Clock::time_point B) {
-    return std::chrono::duration<double, std::milli>(B - A).count();
-  };
-  Clock::time_point Start = Clock::now();
-
-  StreamingResult Out;
-  const size_t N = Loaded.Kernels.size();
-  std::deque<Result<runtime::Measurement>> Slots;
-  std::deque<uint64_t> Keys;
-  std::deque<bool> FromLedger;
-  const bool NeedKeys = Opts.Cache != nullptr || Opts.Ledger != nullptr;
-
-  size_t MeasureWorkers =
-      ThreadPool::resolveWorkerCount(Opts.MeasureWorkers);
-  size_t Capacity = Opts.QueueCapacity > 0
-                        ? Opts.QueueCapacity
-                        : std::max<size_t>(MeasureWorkers * 2, 8);
-
-  Rng Base(Opts.Driver.Seed);
-
-  support::Channel<runtime::MeasureJob> Jobs(Capacity);
-  std::vector<std::thread> Consumers;
-  Consumers.reserve(MeasureWorkers);
-  for (size_t W = 0; W < MeasureWorkers; ++W)
-    Consumers.emplace_back([&Jobs, &P, &Opts] {
-      runtime::runMeasurementLoop(Jobs, P, Opts.Cache);
-    });
-  auto CloseAndJoin = [&Jobs, &Consumers] {
-    Jobs.close();
-    for (std::thread &T : Consumers)
-      if (T.joinable())
-        T.join();
-  };
-  struct Guard {
-    std::function<void()> &Fn;
-    ~Guard() { Fn(); }
-  };
-  std::function<void()> CloseFn = CloseAndJoin;
-  Guard JoinGuard{CloseFn};
-
-  Clock::time_point ProduceStart = Clock::now();
-  for (size_t Index = 0; Index < N; ++Index) {
-    const SynthesizedKernel &SK = Loaded.Kernels[Index];
-    CLGS_TRACE_SPAN_IDX("enqueue", Index);
-    Slots.push_back(Result<runtime::Measurement>::error("not measured"));
-    runtime::MeasureJob J;
-    J.Slot = &Slots.back();
-    J.Index = Index;
-    J.Opts = runtime::batchDriverOptions(Opts.Driver, Base, Index);
-    if (NeedKeys) {
-      Keys.push_back(store::measurementKey(SK.Kernel, J.Opts, P));
-      FromLedger.push_back(false);
-    }
-    if (CLGS_FAILPOINT_KEYED("pipeline.enqueue", Index)) {
-      *J.Slot = Result<runtime::Measurement>::error(
-          "injected fault at pipeline.enqueue", TrapKind::Injected);
-      continue;
-    }
-    if (Opts.Cache) {
-      J.CacheKey = Keys.back();
-      if (auto Hit = Opts.Cache->lookup(J.CacheKey)) {
-        *J.Slot = *Hit;
-        ++Out.CacheStats.Hits;
-        CLGS_COUNT("clgen.measure.cache_hits");
-        continue;
-      }
-      J.WriteBack = true;
-    }
-    if (Opts.Ledger) {
-      if (auto Known = Opts.Ledger->lookup(Keys.back())) {
-        *J.Slot = Result<runtime::Measurement>::error(Known->Detail,
-                                                      Known->Kind);
-        FromLedger.back() = true;
-        ++Out.CacheStats.LedgerHits;
-        CLGS_COUNT("clgen.measure.ledger_hits");
-        continue;
-      }
-    }
-    if (Opts.Cache) {
-      ++Out.CacheStats.Misses;
-      CLGS_COUNT("clgen.measure.misses");
-    }
-    J.Kernel = SK.Kernel;
-    Jobs.push(std::move(J));
-  }
-  Clock::time_point ProduceDone = Clock::now();
-  CloseAndJoin();
-  Out.DrainWallMs = MsBetween(ProduceDone, Clock::now());
-  Out.SynthesisWallMs = MsBetween(ProduceStart, ProduceDone);
-
-  if (Opts.Ledger) {
-    for (size_t I = 0; I < Slots.size(); ++I) {
-      if (Slots[I].ok() || FromLedger[I] ||
-          !isDeterministicTrap(Slots[I].trap()))
-        continue;
-      store::FailureRecord Rec;
-      Rec.Kind = Slots[I].trap();
-      Rec.Detail = Slots[I].errorMessage();
-      Rec.Attempts = 1;
-      if (Opts.Ledger->record(Keys[I], Rec).ok()) {
-        ++Out.CacheStats.LedgerRecords;
-        CLGS_COUNT("clgen.measure.ledger_records");
-      }
-    }
-  }
-
-  Out.Kernels = std::move(Loaded.Kernels);
-  Out.Stats = Loaded.Stats; // Replayed archive stats: byte-parity with cold.
-  Out.Measurements.reserve(Slots.size());
-  for (Result<runtime::Measurement> &S : Slots)
-    Out.Measurements.push_back(std::move(S));
-  Out.TotalWallMs = MsBetween(Start, Clock::now());
-  return Out;
-}
-
 } // namespace
+
+StreamingResult core::synthesizeAndMeasure(model::LanguageModel &Model,
+                                           const runtime::Platform &P,
+                                           const StreamingOptions &Opts) {
+  SynthesisEngine Eng(Model, Opts.Synthesis);
+  return streamAndMeasure(Eng, P, Opts);
+}
 
 std::optional<uint64_t>
 ClgenPipeline::synthesisKeyDigest(const SynthesisOptions &Opts) const {
@@ -487,36 +426,12 @@ ClgenPipeline::synthesizeOrLoad(const std::string &CacheDir,
   if (!KeyDigest)
     return synthesize(Opts); // Unserializable model: nothing to key on.
 
-  std::error_code Ec;
-  std::filesystem::create_directories(CacheDir, Ec);
-  std::string Path =
-      CacheDir + "/synthesis-" + store::hexDigest(*KeyDigest) + ".clgs";
-
-  // Lock-free fast path: warm stores never touch a lock file.
-  if (auto Hit = loadSynthesisArtifact(Path)) {
+  std::string Path = synthesisArtifactPath(CacheDir, *KeyDigest);
+  store::ScopedLock Lock;
+  if (auto Hit = probeSynthesisArtifact(CacheDir, Path, *KeyDigest, Lock)) {
     if (Loaded)
       *Loaded = true;
-    return *Hit;
-  }
-
-  // Cold miss: serialize concurrent cold runs of this configuration so
-  // the sampling work happens once. tryAcquire first — uncontended
-  // misses skip the poll loop; actual racers wait, then every holder
-  // re-probes (double-checked locking) before working. A lock failure
-  // or timeout degrades to duplicated work, never an error: every
-  // writer publishes via atomic rename.
-  store::ScopedLock Lock = store::ScopedLock::acquireForMiss(
-      store::lockFilePath(CacheDir, "synthesis", *KeyDigest));
-  if (Lock.held()) {
-    // Re-probe under the lock even when it was uncontended (a racer
-    // may have published and released since the fast-path probe);
-    // holders publish before releasing, so this makes exactly-once
-    // strict rather than probabilistic.
-    if (auto Hit = loadSynthesisArtifact(Path)) {
-      if (Loaded)
-        *Loaded = true;
-      return *Hit;
-    }
+    return std::move(*Hit);
   }
 
   SynthesisResult Out = synthesize(Opts);
@@ -541,30 +456,19 @@ StreamingResult ClgenPipeline::synthesizeAndMeasureOrLoad(
   if (!KeyDigest)
     return synthesizeAndMeasure(P, Opts);
   I.KeyDigest = *KeyDigest;
+  I.ArtifactPath = synthesisArtifactPath(CacheDir, *KeyDigest);
 
-  std::error_code Ec;
-  std::filesystem::create_directories(CacheDir, Ec);
-  I.ArtifactPath =
-      CacheDir + "/synthesis-" + store::hexDigest(*KeyDigest) + ".clgs";
-
-  // Lock-free fast path, then the same double-checked "synthesis" lock
-  // as synthesizeOrLoad — one advisory key covers both entry points, so
-  // a streaming request and a plain synthesizeOrLoad of the same
-  // configuration cold-sample exactly once between them.
-  auto MeasureWarm = [&](SynthesisResult Loaded) {
+  // The same key, artifact and "synthesis" lock as synthesizeOrLoad, so
+  // the two entry points cold-sample one configuration exactly once
+  // between them.
+  store::ScopedLock Lock;
+  if (auto Hit =
+          probeSynthesisArtifact(CacheDir, I.ArtifactPath, *KeyDigest, Lock)) {
     I.Warm = true;
-    I.LoadedKernels = Loaded.Kernels.size();
+    I.LoadedKernels = Hit->Kernels.size();
     CLGS_COUNT("clgen.stream.warm_starts");
-    return measureLoadedKernels(std::move(Loaded), P, Opts);
-  };
-  if (auto Hit = loadSynthesisArtifact(I.ArtifactPath))
-    return MeasureWarm(std::move(*Hit));
-
-  store::ScopedLock Lock = store::ScopedLock::acquireForMiss(
-      store::lockFilePath(CacheDir, "synthesis", *KeyDigest));
-  if (Lock.held()) {
-    if (auto Hit = loadSynthesisArtifact(I.ArtifactPath))
-      return MeasureWarm(std::move(*Hit));
+    LoadedKernels Source(std::move(*Hit));
+    return streamAndMeasure(Source, P, Opts);
   }
 
   StreamingResult Out = synthesizeAndMeasure(P, Opts);

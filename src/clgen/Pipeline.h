@@ -27,6 +27,9 @@
 #include <string>
 
 namespace clgen {
+namespace store {
+class FailureLedger;
+} // namespace store
 namespace core {
 
 enum class ModelBackend {
@@ -116,8 +119,8 @@ struct ExcisedKernel {
 };
 
 /// Everything the streaming pipeline produced. Measurements are
-/// index-aligned with Kernels (accept order), exactly as if the phased
-/// path had run synthesizeKernels and then runBenchmarkBatch.
+/// index-aligned with Kernels (accept order), exactly as if
+/// synthesizeKernels and then runBenchmarkBatch had run.
 struct StreamingResult {
   std::vector<SynthesizedKernel> Kernels;
   std::vector<Result<runtime::Measurement>> Measurements;
@@ -160,18 +163,20 @@ struct StreamingWarmInfo {
   std::string ArtifactPath;
 };
 
-/// The tentpole entry point: runs synthesis and driver-side measurement
-/// as a bounded producer/consumer pipeline instead of two phase-barried
-/// batches. Accepted kernels flow through a support::Channel from the
-/// (accept-order) synthesis stage straight into measurement workers.
+/// Runs synthesis and driver-side measurement as one bounded
+/// producer/consumer pipeline: accepted kernels flow through a
+/// support::Channel from the (accept-order) synthesis stage straight
+/// into measurement workers. This is the only measurement stage that
+/// reads and writes the store; synthesizeAndMeasureOrLoad feeds the
+/// same stage from a stored kernel set.
 ///
 /// Determinism contract: results are keyed by accept index — kernel i
 /// is measured under runtime::batchDriverOptions(Driver, Rng(Driver.
 /// Seed), i), the same derivation as runBenchmarkBatch — and the result
 /// vector is index-ordered on return, so the output is bit-identical to
-/// the phased path (synthesizeKernels + runBenchmarkBatch) for any
-/// MeasureWorkers, QueueCapacity, synthesis worker count or wave size,
-/// with or without a (pre-warmed) cache.
+/// the storeless phased oracle (synthesizeKernels + runBenchmarkBatch)
+/// for any MeasureWorkers, QueueCapacity, synthesis worker count or
+/// wave size, with or without a (pre-warmed) cache.
 StreamingResult synthesizeAndMeasure(model::LanguageModel &Model,
                                      const runtime::Platform &P,
                                      const StreamingOptions &Opts);
@@ -240,17 +245,19 @@ public:
     return core::synthesizeAndMeasure(*Model, P, Opts);
   }
 
-  /// Warm-start streaming: the fix for the gap where streaming requests
-  /// always re-sampled even when the persisted kernel-set artifact was
-  /// warm. Probes \p CacheDir under the SAME key and artifact file as
-  /// synthesizeOrLoad; on a hit the channel producer becomes an archive
-  /// reader — the loaded kernels flow straight into the measurement
-  /// workers (enqueue-time cache/ledger probes and the accept-index
-  /// seed derivation unchanged) and the request performs zero sampling.
-  /// A cold miss runs the full streaming pipeline and persists the
-  /// kernel set for the next caller, serialized on the same advisory
-  /// "synthesis" lock as synthesizeOrLoad (exactly-once cold sampling
-  /// across threads, processes, and both entry points).
+  /// Warm-start streaming. Probes \p CacheDir under the SAME key and
+  /// artifact file as synthesizeOrLoad; on a hit the loaded kernel set,
+  /// not a sampler, feeds the one measurement stage of
+  /// core::synthesizeAndMeasure (enqueue-time cache/ledger probes and
+  /// the accept-index seed derivation unchanged) and the request
+  /// performs zero sampling. A cold miss runs the full streaming
+  /// pipeline and persists the kernel set for the next caller,
+  /// serialized on the same advisory "synthesis" lock as
+  /// synthesizeOrLoad (exactly-once cold sampling across threads,
+  /// processes, and both entry points). Concurrent cold callers that
+  /// share \p Opts.Cache / \p Opts.Ledger directories measure each
+  /// kernel once: the losers load the winner's kernel set and hit its
+  /// cache entries and ledger records.
   ///
   /// Warm results are byte-identical to cold ones: kernels come from
   /// the artifact, measurements re-derive per-kernel seeds by accept

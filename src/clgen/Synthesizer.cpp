@@ -38,16 +38,25 @@ struct Candidate {
 };
 
 /// The per-attempt pipeline stage: sample -> filter -> normalise. Pure
-/// given (model parameters, seed text, options, RNG stream); runs
-/// concurrently on per-worker model clones.
+/// given (model parameters, seed text, options, attempt index): attempt
+/// i samples from RNG stream Base.split(i). Runs concurrently on
+/// per-worker model clones. The "sample" span times the model alone;
+/// the "filter" span times the rejection filter and normalisation.
 Candidate produceCandidate(model::LanguageModel &Model,
                            const std::string &Seed,
                            const SampleOptions &Sampling,
-                           const corpus::FilterOptions &FilterOpts, Rng R) {
+                           const corpus::FilterOptions &FilterOpts,
+                           const Rng &Base, size_t Attempt) {
   Candidate C;
-  std::optional<std::string> Sample = sampleKernel(Model, Seed, Sampling, R);
+  std::optional<std::string> Sample;
+  {
+    CLGS_TRACE_SPAN_IDX("sample", Attempt);
+    Rng R = Base.split(Attempt);
+    Sample = sampleKernel(Model, Seed, Sampling, R);
+  }
   if (!Sample)
     return C;
+  CLGS_TRACE_SPAN_IDX("filter", Attempt);
   corpus::FilterResult FR = corpus::filterContentFile(*Sample, FilterOpts);
   if (!FR.Accepted) {
     C.S = Candidate::Status::Rejected;
@@ -153,12 +162,8 @@ struct SynthesisEngine::Impl {
     if (Workers == 1) {
       model::LanguageModel &Sampled = Clones.empty() ? Model : *Clones[0];
       while (Kernels.size() < CumTarget && NextAttempt < MaxAttempts) {
-        Candidate C;
-        {
-          CLGS_TRACE_SPAN_IDX("sample", NextAttempt);
-          C = produceCandidate(Sampled, Seed, Opts.Sampling, FilterOpts,
-                               Base.split(NextAttempt));
-        }
+        Candidate C = produceCandidate(Sampled, Seed, Opts.Sampling,
+                                       FilterOpts, Base, NextAttempt);
         ++NextAttempt;
         if (!consume(C, CumTarget, Sink))
           break;
@@ -177,9 +182,8 @@ struct SynthesisEngine::Impl {
       Wave.clear();
       Wave.resize(Count);
       Pool.parallelFor(0, Count, [&](size_t Worker, size_t I) {
-        CLGS_TRACE_SPAN_IDX("sample", NextAttempt + I);
         Wave[I] = produceCandidate(*Clones[Worker], Seed, Opts.Sampling,
-                                   FilterOpts, Base.split(NextAttempt + I));
+                                   FilterOpts, Base, NextAttempt + I);
       });
       // Candidates past the stop point are speculative surplus: dropped
       // without touching the stats or the cursor, exactly as if they

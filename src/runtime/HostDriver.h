@@ -32,7 +32,6 @@
 namespace clgen {
 namespace store {
 class ResultCache;
-class FailureLedger;
 } // namespace store
 namespace runtime {
 
@@ -126,10 +125,10 @@ uint64_t retryBackoffMs(uint32_t BackoffMs, uint32_t Attempt);
 
 /// Per-kernel effective options for batch position \p I: the payload
 /// RNG seed is drawn from the counter-keyed stream I of \p Base (the
-/// batch seed). This is THE batch seed derivation — the phased batch,
-/// the cached batch, the streaming pipeline and the result-cache key
-/// recipe all share it, so a kernel's measurement (and cache entry) is
-/// a pure function of its batch index regardless of which path ran it.
+/// batch seed). This is THE batch seed derivation — runBenchmarkBatch,
+/// the streaming pipeline and the result-cache key recipe all share it,
+/// so a kernel's measurement (and cache entry) is a pure function of
+/// its batch index regardless of which path ran it.
 DriverOptions batchDriverOptions(const DriverOptions &Opts, const Rng &Base,
                                  size_t I);
 
@@ -144,42 +143,17 @@ runBenchmarkBatch(const std::vector<vm::CompiledKernel> &Kernels,
                   const Platform &P, const DriverOptions &Opts,
                   unsigned Workers = 0);
 
-/// Hit/miss tally of one cached batch run (cache-level counters live in
-/// store::ResultCache::stats(); this reports just this call).
+/// Store tally of one streaming pipeline run (StreamingResult::
+/// CacheStats); cache-level counters live in store::ResultCache::stats().
 struct BatchCacheStats {
   size_t Hits = 0;
   size_t Misses = 0;
   /// Kernels skipped as failure-ledger negative hits (neither measured
   /// nor counted as cache hits).
   size_t LedgerHits = 0;
-  /// Deterministic failures newly recorded in the ledger by this call.
+  /// Deterministic failures newly recorded in the ledger by this run.
   size_t LedgerRecords = 0;
 };
-
-/// Cached variant: each kernel is content-addressed in \p Cache (keyed
-/// by its serialized bytecode, the per-kernel effective driver options
-/// including the split payload seed, and the platform's device
-/// configs). Hits skip execution entirely; only misses fan out across
-/// the worker pool, and each fresh measurement is written back
-/// atomically so concurrent batches can share one cache directory.
-/// Results are identical to the uncached overload — the simulator is
-/// deterministic, so a memoized measurement IS the fresh measurement.
-/// Failed runs are not cached; they are re-attempted on the next batch.
-/// Concurrent cold batches of one configuration serialize on an
-/// advisory lock keyed by the batch's key-set digest (store/Lock.h) and
-/// re-probe under it, so racing threads/processes measure each kernel
-/// exactly once; fully-warm batches never touch a lock. \p CacheStats
-/// tallies what THIS call measured (Misses) vs served from cache
-/// (Hits), so exactly-once can be asserted by summing across racers.
-/// With a \p Ledger, known-bad kernels are skipped as negative hits
-/// (the recorded failure is replayed byte-identically) and fresh
-/// deterministic failures are recorded for future runs.
-std::vector<Result<Measurement>>
-runBenchmarkBatch(const std::vector<vm::CompiledKernel> &Kernels,
-                  const Platform &P, const DriverOptions &Opts,
-                  unsigned Workers, store::ResultCache &Cache,
-                  BatchCacheStats *CacheStats = nullptr,
-                  store::FailureLedger *Ledger = nullptr);
 
 /// One unit of driver-side work in the streaming pipeline: a kernel to
 /// measure, the per-kernel effective options (already derived via

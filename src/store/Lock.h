@@ -8,9 +8,10 @@
 /// Cross-process stampede control for the artifact store. A ScopedLock
 /// is an advisory `flock(2)` exclusive lock on a dedicated lock file;
 /// it serializes the *expensive miss path* of the warm-start layers
-/// (trainOrLoad, synthesizeOrLoad, the cached runBenchmarkBatch) so
-/// that N concurrent cold runs of one configuration do the training /
-/// measurement work exactly once instead of N times.
+/// (trainOrLoad, and synthesizeOrLoad / synthesizeAndMeasureOrLoad,
+/// which share one "synthesis" lock) so that N concurrent cold runs of
+/// one configuration do the training / sampling and measurement work
+/// exactly once instead of N times.
 ///
 /// Protocol (documented normatively in docs/STORE_FORMAT.md §6):
 ///

@@ -17,7 +17,9 @@
 /// full serialized bytecode (tag 'B') — the two tags form disjoint key
 /// spaces. Because the simulator is deterministic, equal keys imply
 /// equal measurements, so a hit can skip execution entirely; see
-/// runtime::runBenchmarkBatch for the integrated fast path.
+/// core::synthesizeAndMeasure for the integrated fast path (the
+/// producer probes the cache at enqueue time, so a hit never occupies a
+/// measurement slot).
 ///
 /// On disk the cache is a flat directory of archive files named
 /// <hex key>.clgs, written atomically (temp + rename), so concurrent

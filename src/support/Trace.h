@@ -23,12 +23,12 @@
 ///    and after joining the threads that recorded — the exporter walks
 ///    the buffers unlocked.
 ///
-/// Spans mark the kernel lifecycle stages (sample → accept → enqueue →
-/// measure → cache/ledger write); instants mark pool/channel edge
-/// events (steals, full/empty transitions). Sites use CLGS_TRACE_SPAN /
-/// CLGS_TRACE_INSTANT below, compiled out with the rest of telemetry
-/// under CLGS_TELEMETRY=OFF. The Trace runtime itself (start/stop/
-/// render) is always compiled.
+/// Spans mark the kernel lifecycle stages (sample → filter → accept →
+/// enqueue → measure → cache/ledger write); instants mark pool/channel
+/// edge events (steals, full/empty transitions). Sites use
+/// CLGS_TRACE_SPAN / CLGS_TRACE_INSTANT below, compiled out with the
+/// rest of telemetry under CLGS_TELEMETRY=OFF. The Trace runtime itself
+/// (start/stop/render) is always compiled.
 ///
 //===----------------------------------------------------------------------===//
 

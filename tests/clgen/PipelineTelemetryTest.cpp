@@ -144,8 +144,9 @@ TEST(PipelineTelemetryTest, TraceCoversEveryLifecycleStage) {
          "coverage is vacuous";
 
   std::string Json = support::Trace::renderJson();
-  for (const char *Stage : {"\"name\":\"sample\"", "\"name\":\"accept\"",
-                            "\"name\":\"enqueue\"", "\"name\":\"measure\"",
+  for (const char *Stage : {"\"name\":\"sample\"", "\"name\":\"filter\"",
+                            "\"name\":\"accept\"", "\"name\":\"enqueue\"",
+                            "\"name\":\"measure\"",
                             "\"name\":\"cache.write\"",
                             "\"name\":\"ledger.write\""})
     EXPECT_NE(Json.find(Stage), std::string::npos)

@@ -2,12 +2,9 @@
 
 #include "runtime/HostDriver.h"
 
-#include "store/ResultCache.h"
 #include "vm/Compiler.h"
 
 #include <gtest/gtest.h>
-
-#include <filesystem>
 
 using namespace clgen;
 using namespace clgen::runtime;
@@ -65,44 +62,4 @@ TEST(HostDriverBatchTest, DeterministicAcrossWorkerCounts) {
     EXPECT_DOUBLE_EQ(Serial[I].get().CpuTime, Parallel[I].get().CpuTime);
     EXPECT_DOUBLE_EQ(Serial[I].get().GpuTime, Parallel[I].get().GpuTime);
   }
-}
-
-TEST(HostDriverBatchTest, CachedBatchMatchesUncachedAndHitsOnRerun) {
-  std::string Dir = (std::filesystem::temp_directory_path() /
-                     "clgen_batch_cache_test")
-                        .string();
-  std::filesystem::remove_all(Dir);
-
-  auto Kernels = sampleBatch();
-  DriverOptions Opts;
-  Opts.GlobalSize = 1024;
-  auto P = amdPlatform();
-  auto Uncached = runBenchmarkBatch(Kernels, P, Opts, 2);
-
-  store::ResultCache Cache(Dir);
-  BatchCacheStats Cold, Warm;
-  auto First = runBenchmarkBatch(Kernels, P, Opts, 2, Cache, &Cold);
-  EXPECT_EQ(Cold.Hits, 0u);
-  EXPECT_EQ(Cold.Misses, Kernels.size());
-  // Warm rerun across worker counts and a fresh cache instance (disk
-  // path): everything hits and nothing re-executes.
-  store::ResultCache Reopened(Dir);
-  auto Second = runBenchmarkBatch(Kernels, P, Opts, 4, Reopened, &Warm);
-  EXPECT_EQ(Warm.Hits, Kernels.size());
-  EXPECT_EQ(Warm.Misses, 0u);
-
-  ASSERT_EQ(First.size(), Uncached.size());
-  for (size_t I = 0; I < Uncached.size(); ++I) {
-    ASSERT_TRUE(Uncached[I].ok());
-    ASSERT_TRUE(First[I].ok());
-    ASSERT_TRUE(Second[I].ok());
-    EXPECT_EQ(First[I].get().Counters.Instructions,
-              Uncached[I].get().Counters.Instructions);
-    EXPECT_EQ(First[I].get().CpuTime, Uncached[I].get().CpuTime);
-    EXPECT_EQ(Second[I].get().CpuTime, Uncached[I].get().CpuTime);
-    EXPECT_EQ(Second[I].get().GpuTime, Uncached[I].get().GpuTime);
-    EXPECT_EQ(Second[I].get().Counters.Instructions,
-              Uncached[I].get().Counters.Instructions);
-  }
-  std::filesystem::remove_all(Dir);
 }

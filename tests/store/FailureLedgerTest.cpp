@@ -2,18 +2,15 @@
 //
 // The persistent failure ledger (store/FailureLedger.h): record/lookup
 // round-trips, the deterministic-kinds-only admission policy, corrupt
-// entries degrading to misses, the byte-stable CLI listing, and the
-// cached-batch integration — a second run over known-bad kernels must
-// skip measurement and replay the recorded diagnostics byte-identically.
+// entries degrading to misses and the byte-stable CLI listing. The
+// pipeline integration (record, then replay without re-measuring) is
+// PipelineFaultTest.StreamingLedgerRecordsAndReplays.
 //
 //===----------------------------------------------------------------------===//
 
 #include "store/FailureLedger.h"
 
-#include "runtime/HostDriver.h"
-#include "store/ResultCache.h"
 #include "support/Trap.h"
-#include "vm/Compiler.h"
 
 #include <gtest/gtest.h>
 
@@ -174,80 +171,6 @@ TEST(FailureLedgerTest, ListAndFormatAreByteStable) {
   EXPECT_NE(Listing.find("out-of-bounds"), std::string::npos);
   EXPECT_NE(Listing.find("div-by-zero"), std::string::npos);
   EXPECT_NE(Listing.find("write past buffer end"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// Cached-batch integration
-//===----------------------------------------------------------------------===//
-
-vm::CompiledKernel compile(const std::string &Source) {
-  auto K = vm::compileFirstKernel(Source);
-  EXPECT_TRUE(K.ok()) << K.errorMessage();
-  return K.take();
-}
-
-TEST(FailureLedgerTest, BatchRecordsAndReplaysFailures) {
-  ScratchDir Dir("batch");
-  // One good kernel, one that always traps out-of-bounds.
-  std::vector<vm::CompiledKernel> Kernels;
-  Kernels.push_back(
-      compile("__kernel void ok(__global float* a, const int n) {\n"
-              "  int i = get_global_id(0);\n"
-              "  if (i < n) { a[i] = a[i] * 2.0f; }\n"
-              "}\n"));
-  Kernels.push_back(
-      compile("__kernel void oob(__global float* a, const int n) {\n"
-              "  a[get_global_id(0) + n] = 1.0f;\n"
-              "}\n"));
-
-  runtime::DriverOptions Opts;
-  Opts.GlobalSize = 512;
-  runtime::Platform P = runtime::amdPlatform();
-
-  // Run 1: cold — the failure is measured and recorded.
-  ResultCache Cache1(Dir.str() + "/results");
-  FailureLedger Ledger1(Dir.str() + "/failures");
-  runtime::BatchCacheStats Stats1;
-  auto Run1 =
-      runtime::runBenchmarkBatch(Kernels, P, Opts, 1, Cache1, &Stats1,
-                                 &Ledger1);
-  ASSERT_EQ(Run1.size(), 2u);
-  EXPECT_TRUE(Run1[0].ok());
-  ASSERT_FALSE(Run1[1].ok());
-  EXPECT_EQ(Run1[1].trap(), TrapKind::OutOfBounds);
-  EXPECT_EQ(Stats1.Misses, 2u);
-  EXPECT_EQ(Stats1.LedgerHits, 0u);
-  EXPECT_EQ(Stats1.LedgerRecords, 1u);
-
-  // Run 2: fresh cache+ledger objects over the same directories — the
-  // success is a cache hit, the failure a ledger negative hit, and the
-  // replayed diagnostic is byte-identical. Nothing is measured.
-  ResultCache Cache2(Dir.str() + "/results");
-  FailureLedger Ledger2(Dir.str() + "/failures");
-  runtime::BatchCacheStats Stats2;
-  auto Run2 =
-      runtime::runBenchmarkBatch(Kernels, P, Opts, 1, Cache2, &Stats2,
-                                 &Ledger2);
-  ASSERT_EQ(Run2.size(), 2u);
-  EXPECT_TRUE(Run2[0].ok());
-  ASSERT_FALSE(Run2[1].ok());
-  EXPECT_EQ(Run2[1].errorMessage(), Run1[1].errorMessage());
-  EXPECT_EQ(Run2[1].trap(), Run1[1].trap());
-  EXPECT_EQ(Stats2.Hits, 1u);
-  EXPECT_EQ(Stats2.LedgerHits, 1u);
-  EXPECT_EQ(Stats2.Misses, 0u);
-  EXPECT_EQ(Stats2.LedgerRecords, 0u);
-  EXPECT_EQ(Ledger2.stats().NegativeHits, 1u);
-
-  // Without a ledger the failure is simply re-measured (same result).
-  ResultCache Cache3(Dir.str() + "/results");
-  runtime::BatchCacheStats Stats3;
-  auto Run3 = runtime::runBenchmarkBatch(Kernels, P, Opts, 1, Cache3,
-                                         &Stats3);
-  ASSERT_FALSE(Run3[1].ok());
-  EXPECT_EQ(Run3[1].errorMessage(), Run1[1].errorMessage());
-  EXPECT_EQ(Stats3.Misses, 1u);
-  EXPECT_EQ(Stats3.LedgerHits, 0u);
 }
 
 } // namespace

@@ -528,7 +528,7 @@ TEST(LifecycleTest, LockAcquireFailsFastWhenLockFileIsUnopenable) {
 
 TEST(LifecycleTest, ScopedLockMoveTransfersOwnership) {
   ScratchDir Dir("lock_move");
-  std::string Path = lockFilePath(Dir.str(), "batch", 1);
+  std::string Path = lockFilePath(Dir.str(), "synthesis", 1);
   auto R = ScopedLock::tryAcquire(Path);
   ASSERT_TRUE(R.ok());
   ScopedLock Moved = R.take();

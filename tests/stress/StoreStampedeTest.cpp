@@ -18,10 +18,10 @@
 
 #include "clgen/Pipeline.h"
 #include "githubsim/GithubSim.h"
-#include "runtime/HostDriver.h"
+#include "store/FailureLedger.h"
 #include "store/Lock.h"
 #include "store/ResultCache.h"
-#include "vm/Compiler.h"
+#include "store/Serialization.h"
 
 #include <gtest/gtest.h>
 
@@ -104,16 +104,29 @@ private:
   bool Open = false;
 };
 
-vm::CompiledKernel compileSample(const std::string &Body) {
-  std::string Src = "__kernel void k(__global float* a, const int n) {\n"
-                    "  int i = get_global_id(0);\n"
-                    "  if (i < n) { " +
-                    Body +
-                    " }\n"
-                    "}\n";
-  auto K = vm::compileFirstKernel(Src);
-  EXPECT_TRUE(K.ok()) << K.errorMessage();
-  return K.take();
+/// Canonical byte image of a streaming result: stats, kernels and
+/// measurements (failures by their diagnostic). Equal bytes, same run.
+std::vector<uint8_t> resultBytes(const core::StreamingResult &R) {
+  ArchiveWriter W(ArchiveKind::Synthesis);
+  W.writeU64(R.Stats.Attempts);
+  W.writeU64(R.Stats.IncompleteSamples);
+  W.writeU64(R.Stats.RejectedByFilter);
+  W.writeU64(R.Stats.Duplicates);
+  W.writeU64(R.Stats.Accepted);
+  W.writeU64(R.Kernels.size());
+  for (const core::SynthesizedKernel &K : R.Kernels) {
+    W.writeString(K.Source);
+    serializeCompiledKernel(W, K.Kernel);
+  }
+  W.writeU64(R.Measurements.size());
+  for (const auto &M : R.Measurements) {
+    W.writeBool(M.ok());
+    if (M.ok())
+      serializeMeasurement(W, M.get());
+    else
+      W.writeString(M.errorMessage());
+  }
+  return W.finalize();
 }
 
 } // namespace
@@ -200,52 +213,66 @@ TEST(StoreStampedeTest, ThreadColdStampedeSynthesizesExactlyOnce) {
         << "loaded kernel sets must be byte-identical to the sampled one";
 }
 
-TEST(StoreStampedeTest, ThreadColdStampedeCachedBatchMeasuresEachKernelOnce) {
-  ScratchDir Dir("batch_threads");
-  std::vector<vm::CompiledKernel> Kernels;
-  const char *Bodies[] = {"a[i] = a[i] * 2.0f;", "a[i] = a[i] + 7.0f;",
-                          "a[i] = a[i] * a[i];", "a[i] = -a[i];",
-                          "a[i] = a[i] - 3.0f;", "a[i] = a[i] * 0.5f;"};
-  for (const char *Body : Bodies)
-    Kernels.push_back(compileSample(Body));
-  runtime::DriverOptions DOpts;
-  DOpts.GlobalSize = 4096;
+TEST(StoreStampedeTest, ThreadColdStampedeStreamingMeasuresEachKernelOnce) {
+  ScratchDir Dir("stream_threads");
+  auto Files = smallWorkload();
+  auto Opts = smallPipelineOptions();
+  constexpr size_t Racers = 4;
+
+  std::vector<core::ClgenPipeline> Pipelines;
+  for (size_t T = 0; T < Racers; ++T)
+    Pipelines.push_back(core::ClgenPipeline::train(Files, Opts));
+
+  core::StreamingOptions SOpts;
+  SOpts.Synthesis.TargetKernels = 12;
+  SOpts.Synthesis.MaxAttempts = 4000;
+  SOpts.Synthesis.Workers = 1;
+  SOpts.Driver.GlobalSize = 4096;
   auto Platform = runtime::amdPlatform();
 
-  // Reference: uncached, deterministic.
-  auto Reference = runtime::runBenchmarkBatch(Kernels, Platform, DOpts, 1);
+  // Reference: the same run with no store at all.
+  core::StreamingResult Reference =
+      Pipelines[0].synthesizeAndMeasure(Platform, SOpts);
+  size_t RefFailures = 0;
+  for (const auto &M : Reference.Measurements)
+    RefFailures += M.ok() ? 0 : 1;
+  ASSERT_GE(RefFailures, 1u)
+      << "workload produced no failures; the ledger half is vacuous";
+  std::vector<uint8_t> RefBytes = resultBytes(Reference);
 
-  constexpr size_t Racers = 4;
   StartGate Gate;
-  std::atomic<size_t> TotalMisses{0}, TotalHits{0}, Mismatches{0};
+  std::atomic<size_t> Cold{0}, TotalMisses{0}, TotalRecords{0},
+      Mismatches{0};
   std::vector<std::thread> Threads;
   for (size_t T = 0; T < Racers; ++T)
-    Threads.emplace_back([&] {
-      // Each racer gets its own cache INSTANCE over the shared
-      // directory — the in-memory fronts are independent, exactly like
-      // separate processes sharing one store.
-      store::ResultCache Cache(Dir.str());
-      runtime::BatchCacheStats Stats;
+    Threads.emplace_back([&, T] {
+      // Each racer owns its cache and ledger INSTANCES over the shared
+      // directory, exactly like separate processes sharing one store.
+      store::ResultCache Cache(Dir.file("results"));
+      store::FailureLedger Ledger(Dir.file("failures"));
+      core::StreamingOptions Mine = SOpts;
+      Mine.Cache = &Cache;
+      Mine.Ledger = &Ledger;
+      core::StreamingWarmInfo Info;
       Gate.waitAt(Racers);
-      auto Out = runtime::runBenchmarkBatch(Kernels, Platform, DOpts, 1,
-                                            Cache, &Stats);
-      TotalMisses.fetch_add(Stats.Misses);
-      TotalHits.fetch_add(Stats.Hits);
-      for (size_t I = 0; I < Out.size(); ++I) {
-        if (!Out[I].ok() || !Reference[I].ok() ||
-            Out[I].get().CpuTime != Reference[I].get().CpuTime ||
-            Out[I].get().Counters.Instructions !=
-                Reference[I].get().Counters.Instructions)
-          Mismatches.fetch_add(1);
-      }
+      core::StreamingResult Out = Pipelines[T].synthesizeAndMeasureOrLoad(
+          Dir.str(), Platform, Mine, &Info);
+      Cold.fetch_add(Info.Warm ? 0 : 1);
+      TotalMisses.fetch_add(Out.CacheStats.Misses);
+      TotalRecords.fetch_add(Out.CacheStats.LedgerRecords);
+      if (resultBytes(Out) != RefBytes)
+        Mismatches.fetch_add(1);
     });
   for (auto &T : Threads)
     T.join();
 
-  EXPECT_EQ(Mismatches.load(), 0u);
-  EXPECT_EQ(TotalMisses.load(), Kernels.size())
+  EXPECT_EQ(Cold.load(), 1u) << "exactly one racer may sample";
+  EXPECT_EQ(TotalMisses.load(), Reference.Kernels.size())
       << "each kernel must be measured exactly once across all racers";
-  EXPECT_EQ(TotalHits.load(), Kernels.size() * (Racers - 1));
+  EXPECT_EQ(TotalRecords.load(), RefFailures)
+      << "each failure must be recorded exactly once across all racers";
+  EXPECT_EQ(Mismatches.load(), 0u)
+      << "every racer must deliver the storeless run's bytes";
 }
 
 //===----------------------------------------------------------------------===//
