@@ -33,7 +33,7 @@ namespace bench {
 
 /// Builds the standard trained pipeline used by the experiments: mines
 /// the synthetic GitHub snapshot and trains the n-gram backend (see
-/// DESIGN.md for the LSTM-vs-ngram substitution note).
+/// model/NGramModel.h for the LSTM-vs-ngram substitution note).
 inline core::ClgenPipeline trainedPipeline(size_t FileCount = 1500,
                                            int Order = 16) {
   githubsim::GithubSimOptions GOpts;

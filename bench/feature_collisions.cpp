@@ -7,8 +7,7 @@
 // collides with AMD's Fast Walsh-Hadamard transform. A static branch
 // count separates them.
 //
-// Also serves as the ablation bench for the branch feature (DESIGN.md
-// section 5).
+// Also serves as the ablation bench for the branch feature.
 //
 //===----------------------------------------------------------------------===//
 

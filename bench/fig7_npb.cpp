@@ -122,8 +122,8 @@ int main() {
   std::printf("corpus entries: %zu\n", Pipeline.corpus().Entries.size());
 
   // The paper synthesizes 1,000 kernels; we default to 400 accepted
-  // kernels to keep the simulated run affordable (scaling documented in
-  // EXPERIMENTS.md).
+  // kernels to keep the simulated run affordable (ROADMAP.md item 1
+  // tracks the full-size protocol).
   const size_t SyntheticCount = 400;
 
   runPlatform(runtime::amdPlatform(), Pipeline, SyntheticCount, "a",

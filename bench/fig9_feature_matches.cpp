@@ -55,7 +55,7 @@ FeatureKey keyOf(const vm::CompiledKernel &K) {
 int main() {
   // Scaled from the paper's 10,000 kernels per source; the sampling
   // curve shape (CLgen grows, GitHub plateaus, CLSmith stays near zero)
-  // is scale-invariant. Documented in EXPERIMENTS.md.
+  // is scale-invariant.
   const size_t MaxKernels = 2000;
   const std::vector<size_t> Checkpoints = {200, 400,  600,  800, 1000,
                                            1200, 1400, 1600, 1800, 2000};

@@ -2,8 +2,8 @@
 //
 // Throughput microbenchmarks for the pipeline's hot components: frontend
 // (lex/parse/sema), bytecode compilation, interpretation, feature
-// extraction, n-gram sampling and LSTM stepping. Not a paper experiment;
-// useful for tracking the simulator's own performance.
+// extraction, n-gram training and sampling, and LSTM stepping. Not a
+// paper experiment; useful for tracking the simulator's own performance.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +12,7 @@
 #include "features/Features.h"
 #include "githubsim/GithubSim.h"
 #include "model/LstmModel.h"
+#include "model/NGramModel.h"
 #include "model/TemperedDraw.h"
 #include "ocl/Parser.h"
 #include "ocl/Sema.h"
@@ -106,8 +107,9 @@ BENCHMARK(BM_FeatureExtraction);
 /// at T = 0.5, restarting from the Figure 6 seed wherever sampleKernel
 /// would end a sample. Each run samples a fresh clone, as a synthesis
 /// engine does. \p Memoized picks the step: drawNext, which the sampler
-/// runs, or the reference nextDistributionInto + drawToken. Both draw the
-/// same characters.
+/// runs (the draw memoized by trie node), or the reference
+/// nextDistributionInto + drawToken. Both then move the trie cursor with
+/// observe, and both draw the same characters.
 void sampleChars(benchmark::State &State, bool Memoized) {
   std::unique_ptr<model::LanguageModel> Model =
       benchPipeline().languageModel().clone();
@@ -151,6 +153,20 @@ void BM_NGramSampleCharReference(benchmark::State &State) {
   sampleChars(State, false);
 }
 BENCHMARK(BM_NGramSampleCharReference);
+
+/// n-gram training alone: order 14 on benchPipeline()'s 400-file corpus,
+/// the call clbench's traced model.train_ms times.
+void BM_NGramTrain(benchmark::State &State) {
+  const std::vector<std::string> &Entries = benchPipeline().corpus().Entries;
+  model::NGramOptions Opts;
+  Opts.Order = 14;
+  for (auto _ : State) {
+    model::NGramModel M(Opts);
+    M.train(Entries);
+    benchmark::DoNotOptimize(M.contextCount());
+  }
+}
+BENCHMARK(BM_NGramTrain)->Unit(benchmark::kMillisecond);
 
 void BM_LstmStep(benchmark::State &State) {
   model::LstmOptions Opts;

@@ -257,8 +257,14 @@ int runPipeline(const RunnerConfig &Cfg) {
   }
   for (const core::ExcisedKernel &E : Out.Excised)
     Tally.addKind(E.Kind);
-  std::printf("pipeline: %zu kernels (%zu attempts) in %.1f ms\n",
-              Out.Kernels.size(), Out.Stats.Attempts, Out.TotalWallMs);
+  // A warm start draws nothing: its stats are the archived run's.
+  if (Warm.Warm)
+    std::printf("pipeline: %zu kernels (0 attempts, %zu archived) in "
+                "%.1f ms\n",
+                Out.Kernels.size(), Out.Stats.Attempts, Out.TotalWallMs);
+  else
+    std::printf("pipeline: %zu kernels (%zu attempts) in %.1f ms\n",
+                Out.Kernels.size(), Out.Stats.Attempts, Out.TotalWallMs);
   std::printf("overlap: producer (synthesis) active %.1f ms (%.0f%% of "
               "the wall), measurement drain tail after last accept "
               "%.1f ms\n",

@@ -18,7 +18,8 @@ using namespace clgen;
 
 int main() {
   // 1. Mine content files. With network access this would scrape GitHub;
-  //    here a synthetic repository generator stands in (see DESIGN.md).
+  //    here a synthetic repository generator stands in (see
+  //    githubsim/GithubSim.h).
   githubsim::GithubSimOptions MineOpts;
   MineOpts.FileCount = 1000;
   auto Files = githubsim::mineGithub(MineOpts);

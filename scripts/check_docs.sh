@@ -21,6 +21,9 @@
 #     invocations: every subcommand and option word must be handled by
 #     the matching tool source, so documented CLI usage cannot rot
 #   - SuiteName.TestName tokens must appear under tests/
+#   - every *.md file named in a comment under src/, bench/, examples/
+#     or tests/ must exist, at the repo root, under docs/ or at the
+#     path given
 #
 #===----------------------------------------------------------------------===//
 
@@ -167,6 +170,18 @@ for DOC in "${DOCS[@]}"; do
     fi
   done < <(inline_tokens "$DOC")
 done
+
+# --- Documents cited in source comments ---------------------------------
+while IFS= read -r HIT; do
+  SRC=${HIT%%:*}
+  for NAME in $(printf '%s\n' "${HIT#*:}" | grep -oE '[A-Za-z0-9_./-]+\.md\b'); do
+    NAME=${NAME#./}
+    if [ ! -e "$NAME" ] && [ ! -e "docs/$NAME" ]; then
+      fail "$SRC cites missing document \`$NAME\` in a comment"
+    fi
+  done
+done < <(grep -rHoE --include='*.h' --include='*.cpp' --include='*.inc' \
+           '(//|/\*|^[[:space:]]*\*).*\.md\b.*' src bench examples tests)
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "check_docs: $FAILURES stale documentation reference(s)" >&2

@@ -13,6 +13,10 @@
 #      experiment archives ("0 models trained, 0 kernels measured" on
 #      stdout) and still emit byte-identical reports.
 #
+# Then the streaming pipeline (--pipeline --cache-dir) runs cold and
+# warm on its own store: the warm run must report 0 attempts (it loads
+# the kernel set and draws nothing) and the same device mapping.
+#
 # Passing proves the committed goldens, the library renderers and the
 # CLI surface agree byte-for-byte, cold and warm. Registered as the
 # ctest `check_golden` (label `golden`); run manually:
@@ -59,4 +63,16 @@ grep -q "warm start" "$WORK/warm.log" \
 grep -q "work: 0 models trained, 0 kernels measured" "$WORK/warm.log" \
   || { echo "check_golden: warm pass reported nonzero work" >&2; exit 1; }
 
-echo "check_golden: OK (cold + warm reports byte-identical to tests/golden)"
+"$RUNNER" --pipeline --cache-dir "$WORK/pipeline" > "$WORK/pipeline_cold.log"
+"$RUNNER" --pipeline --cache-dir "$WORK/pipeline" > "$WORK/pipeline_warm.log"
+grep -Eq "^pipeline: [0-9]+ kernels \([1-9][0-9]* attempts\)" \
+    "$WORK/pipeline_cold.log" \
+  || { echo "check_golden: cold pipeline reported no attempts" >&2; exit 1; }
+grep -Eq "^pipeline: [0-9]+ kernels \(0 attempts, [0-9]+ archived\)" \
+    "$WORK/pipeline_warm.log" \
+  || { echo "check_golden: warm pipeline reported attempts" >&2; exit 1; }
+[ "$(grep "^mapping:" "$WORK/pipeline_cold.log")" = \
+  "$(grep "^mapping:" "$WORK/pipeline_warm.log")" ] \
+  || { echo "check_golden: warm pipeline mapping differs" >&2; exit 1; }
+
+echo "check_golden: OK (cold + warm reports byte-identical to tests/golden, warm pipeline drew nothing)"

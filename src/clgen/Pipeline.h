@@ -34,7 +34,7 @@ namespace core {
 
 enum class ModelBackend {
   /// Interpolated character n-gram: trains in seconds; used by the
-  /// large-scale experiments (see DESIGN.md substitution notes).
+  /// large-scale experiments (see model/NGramModel.h).
   NGram,
   /// The paper's LSTM architecture, at laptop-scale defaults.
   Lstm,

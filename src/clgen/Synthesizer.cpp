@@ -49,7 +49,7 @@ Candidate produceCandidate(model::LanguageModel &Model,
                            const Rng &Base, size_t Attempt) {
   Candidate C;
   std::optional<std::string> Sample;
-  {
+  { // Ends the "sample" span before the filter runs.
     CLGS_TRACE_SPAN_IDX("sample", Attempt);
     Rng R = Base.split(Attempt);
     Sample = sampleKernel(Model, Seed, Sampling, R);

@@ -306,8 +306,10 @@ githubsim::mineGithub(const GithubSimOptions &Opts) {
         File.Text = helperFile(R);
       } else {
         std::string Body = rawValidKernel(R, formatString("kern_%zu", I));
-        if (R.chance(Opts.MultiKernelFraction))
-          Body += "\n" + rawValidKernel(R, formatString("kern_%zu_b", I));
+        if (R.chance(Opts.MultiKernelFraction)) {
+          Body += '\n';
+          Body += rawValidKernel(R, formatString("kern_%zu_b", I));
+        }
         File.Text = addNoise(Body, R);
       }
     }

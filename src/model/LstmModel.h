@@ -11,7 +11,8 @@
 /// Descent for 50 epochs, with an initial learning rate of 0.002,
 /// decaying by a factor of one half every 5 epochs"). Defaults here are
 /// laptop-scale; the paper's full configuration is reachable through
-/// LstmOptions but is not affordable on CPU (documented in DESIGN.md).
+/// LstmOptions but is not affordable on CPU (model/NGramModel.h describes
+/// the model that stands in at scale).
 ///
 /// Everything is implemented from scratch: forward pass, softmax
 /// cross-entropy, backpropagation through time, gradient clipping and

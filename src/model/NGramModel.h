@@ -16,6 +16,11 @@
 /// LSTM (model/LstmModel.h) implements the paper's architecture
 /// faithfully and is exercised end-to-end at laptop scale.
 ///
+/// The count table is a trie with one node per stored context, and the
+/// generation state is a cursor on it: the node of the longest stored
+/// suffix of the last Order - 1 characters. observe() moves the cursor
+/// by one child edge or suffix link, so no draw hashes the window.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CLGEN_MODEL_NGRAMMODEL_H
@@ -24,26 +29,13 @@
 #include "model/LanguageModel.h"
 #include "model/TemperedDraw.h"
 
+#include <cstdint>
+#include <memory>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace clgen {
 namespace model {
-
-/// Transparent string hashing so context lookups run on string_views of
-/// the rolling context buffer — the sampling hot loop performs zero
-/// allocations per character.
-struct StringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view S) const {
-    return std::hash<std::string_view>{}(S);
-  }
-  size_t operator()(const std::string &S) const {
-    return std::hash<std::string_view>{}(S);
-  }
-};
 
 struct NGramOptions {
   /// Model order: context length = Order - 1 characters.
@@ -54,14 +46,12 @@ struct NGramOptions {
   double UnigramSmoothing = 0.1;
 };
 
+/// The trained count table: flat arrays, one node per stored context
+/// (defined in NGramModel.cpp).
+struct ContextTrie;
+
 class NGramModel : public LanguageModel {
 public:
-  /// Context string -> (next-token id -> count). The empty context holds
-  /// unigram counts. Transparent hashing allows string_view lookups.
-  using ContextCounts =
-      std::unordered_map<std::string, std::unordered_map<int, uint32_t>,
-                         StringHash, std::equal_to<>>;
-
   explicit NGramModel(NGramOptions Opts = NGramOptions()) : Opts(Opts) {}
 
   /// Trains on corpus entries (each a normalised kernel). Entries are
@@ -75,18 +65,20 @@ public:
   void observe(int TokenId) override;
   std::vector<double> nextDistribution() override;
   void nextDistributionInto(std::vector<double> &Dist) override;
-  /// The reference draw, memoized per context window: the distribution
-  /// is a pure function of Context, so each window's tempered CDF is
-  /// built once per temperature (model/TemperedDraw.h).
+  /// The reference draw, memoized per trie node: with a full window the
+  /// distribution is a pure function of the cursor's node, so each
+  /// node's tempered CDF is built once per temperature
+  /// (model/TemperedDraw.h). A window shorter than Order - 1 draws
+  /// through drawToken.
   int drawNext(double Temperature, Rng &R) override;
   /// Copies the trained model; the clone's sampling memo starts empty.
   std::unique_ptr<LanguageModel> clone() const override;
   const char *backendName() const override { return "ngram"; }
 
   /// Number of distinct contexts stored (all orders).
-  size_t contextCount() const { return Counts ? Counts->size() : 0; }
+  size_t contextCount() const;
 
-  /// Number of context windows in the sampling memo (see drawNext).
+  /// Number of trie nodes in the sampling memo (see drawNext).
   size_t memoizedContexts() const { return Memo.size(); }
 
   /// Appends options, vocabulary and the full count table to an archive
@@ -97,22 +89,29 @@ public:
 
   /// Rebuilds a trained model from an archive. On schema violations the
   /// reader's error state is tripped; callers must check it before
-  /// using the returned model.
+  /// using the returned model. Tables serialize never writes are
+  /// refused: contexts out of order or repeated, a context longer than
+  /// Order - 1, a context whose prefix or suffix is missing, a context
+  /// with no entries, entry ids out of order or outside the vocabulary,
+  /// and zero counts.
   static NGramModel deserialize(store::ArchiveReader &R);
 
 private:
   NGramOptions Opts;
   Vocabulary Vocab;
-  /// Immutable once trained and shared between clones, so per-worker
-  /// model copies cost O(1) instead of duplicating the count table.
-  std::shared_ptr<const ContextCounts> Counts;
-  /// Rolling context of the last Order-1 token ids (as chars).
-  std::string Context;
-  /// Tempered CDFs of the contexts this instance has drawn from. Never
+  /// Immutable once built and shared between clones, so per-worker
+  /// model copies cost O(1). Null while the table is empty.
+  std::shared_ptr<const ContextTrie> Trie;
+  /// The cursor: the node of the longest stored suffix of the window,
+  /// and the number of characters the window holds (at most Order - 1).
+  uint32_t Node = 0;
+  size_t Fill = 0;
+  /// Tempered CDFs of the nodes this instance has drawn from. Never
   /// serialized or copied: clones and copies start with an empty memo.
   TemperedCdfMemo Memo;
 
-  void addSequence(ContextCounts &Building, const std::string &Entry) const;
+  /// Characters the window holds at most: Order - 1.
+  size_t window() const;
 };
 
 } // namespace model

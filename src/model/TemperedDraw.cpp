@@ -67,6 +67,7 @@ int model::drawToken(const std::vector<double> &Dist, double Temperature,
 }
 
 void TemperedCdfMemo::clear() {
+  SlotOf.clear();
   Cdfs.clear();
   Checkpoints.clear();
   Entries.clear();

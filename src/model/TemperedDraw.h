@@ -7,8 +7,8 @@
 /// \file
 /// The one owner of the sampler's tempered-draw arithmetic. drawToken is
 /// the reference draw from a next-token distribution; TemperedCdfMemo
-/// memoizes the same draw per context for a model whose distribution is
-/// a pure function of a short key (the n-gram context window). Both add
+/// memoizes the same draw per key for a model whose distribution is a
+/// pure function of a small integer (the n-gram's trie node). Both add
 /// the same weights in the same order, so from the same RNG bits they
 /// return the same token.
 ///
@@ -22,8 +22,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace clgen {
@@ -42,29 +40,24 @@ namespace model {
 /// token 0.
 int drawToken(const std::vector<double> &Dist, double Temperature, Rng &R);
 
-/// drawToken memoized per context key, at one temperature. For each key
-/// it keeps a compact tempered CDF: the floor weight (shared by every
-/// entry at the distribution's minimum probability), the other entries
-/// as (index, weight) pairs, the total, the last index with p > 0, and
-/// the running sum before every block of BlockSize entries. A draw takes
-/// one uniform, finds its block by those checkpoints and re-adds at most
-/// BlockSize weights from the block's checkpoint. The checkpoints and the
-/// re-adds follow drawToken's summation order, so every running sum
-/// compared against the target has drawToken's bits, and the draw returns
-/// drawToken's token and leaves the generator in drawToken's state.
+/// drawToken memoized per dense integer key (the n-gram's trie node), at
+/// one temperature. For each key it keeps a compact tempered CDF: the
+/// floor weight (shared by every entry at the distribution's minimum
+/// probability), the other entries as (index, weight) pairs, the total,
+/// the last index with p > 0, and the running sum before every block of
+/// BlockSize entries. A draw takes one uniform, finds its block by those
+/// checkpoints and re-adds at most BlockSize weights from the block's
+/// checkpoint. The checkpoints and the re-adds follow drawToken's
+/// summation order, so every running sum compared against the target has
+/// drawToken's bits, and the draw returns drawToken's token and leaves
+/// the generator in drawToken's state.
 ///
 /// A memo belongs to one model instance. It is never carried to a copy,
 /// a temperature change clears it, and it is never serialized or hashed
-/// into a key. It stops inserting at MaxContexts; later misses draw
-/// through drawToken.
+/// into a key. Its slot table is indexed by key, so it is bounded by the
+/// largest key drawn: the model's node count.
 class TemperedCdfMemo {
 public:
-  /// Contexts memoized before the memo stops inserting. A context costs
-  /// about 104 + 8 * (ceil(V / 8) - 1) + 16 * k bytes for a vocabulary of
-  /// V tokens with k entries off the floor: about 220 bytes (7 MB at the
-  /// cap) for an order-14 n-gram over the 71-token corpus vocabulary,
-  /// where k is a handful, and 1.3 kB (43 MB) in the worst case k = V.
-  static constexpr size_t MaxContexts = size_t(1) << 15;
   /// Entries per checkpointed block: the most a draw re-adds.
   static constexpr size_t BlockSize = 8;
 
@@ -81,25 +74,26 @@ public:
   /// writes for \p Key. \p Fill runs only on a miss, and must write the
   /// same distribution every time it is called for the same key.
   template <typename FillFn>
-  int draw(const std::string &Key, double Temperature, Rng &R,
-           FillFn &&Fill) {
+  int draw(uint32_t Key, double Temperature, Rng &R, FillFn &&Fill) {
     if (!(Temperature == MemoTemperature)) {
       clear();
       MemoTemperature = Temperature;
     }
-    auto It = Cdfs.find(Key);
-    if (It != Cdfs.end())
-      return drawFrom(It->second, R);
-    Fill(Dist);
-    if (Cdfs.size() >= MaxContexts)
-      return drawToken(Dist, Temperature, R);
-    return drawFrom(Cdfs.emplace(Key, build(Temperature)).first->second, R);
+    if (Key >= SlotOf.size())
+      SlotOf.resize(static_cast<size_t>(Key) + 1, 0);
+    uint32_t &Slot = SlotOf[Key];
+    if (Slot == 0) {
+      Fill(Dist);
+      Cdfs.push_back(build(Temperature));
+      Slot = static_cast<uint32_t>(Cdfs.size());
+    }
+    return drawFrom(Cdfs[Slot - 1], R);
   }
 
-  /// Contexts memoized at the current temperature.
+  /// Keys memoized at the current temperature.
   size_t size() const { return Cdfs.size(); }
 
-  /// Forgets every memoized context.
+  /// Forgets every memoized key.
   void clear();
 
 private:
@@ -122,7 +116,9 @@ private:
   Cdf build(double Temperature);
   int drawFrom(const Cdf &C, Rng &R) const;
 
-  std::unordered_map<std::string, Cdf> Cdfs;
+  /// SlotOf[Key]: 1 + the index of Key's CDF in Cdfs, or 0 if not built.
+  std::vector<uint32_t> SlotOf;
+  std::vector<Cdf> Cdfs;
   /// Running sum before each block after the first, ceil(Size / 8) - 1
   /// per CDF.
   std::vector<double> Checkpoints;

@@ -133,8 +133,11 @@ public:
     }
     case Expr::Kind::Cast: {
       const auto *CE = cast<CastExpr>(E);
-      return "(" + typeName(CE->Target) + ")" +
-             renderChild(CE->Operand.get(), 50);
+      std::string S = "(";
+      S += typeName(CE->Target);
+      S += ")";
+      S += renderChild(CE->Operand.get(), 50);
+      return S;
     }
     case Expr::Kind::VectorLiteral: {
       const auto *VL = cast<VectorLiteralExpr>(E);
@@ -142,8 +145,12 @@ public:
       Elems.reserve(VL->Elements.size());
       for (const auto &Elem : VL->Elements)
         Elems.push_back(renderExpr(Elem.get()));
-      return "(" + scalarTypeName(VL->Target.S, VL->Target.VecWidth) + ")(" +
-             joinStrings(Elems, ", ") + ")";
+      std::string S = "(";
+      S += scalarTypeName(VL->Target.S, VL->Target.VecWidth);
+      S += ")(";
+      S += joinStrings(Elems, ", ");
+      S += ")";
+      return S;
     }
     case Expr::Kind::Conditional: {
       const auto *CE = cast<ConditionalExpr>(E);

@@ -600,7 +600,9 @@ private:
       bool Replaced = false;
       for (size_t PI = 0; PI < M.Params.size(); ++PI) {
         if (M.Params[PI] == Word) {
-          Out += "(" + std::string(trim(Args[PI])) + ")";
+          Out += '(';
+          Out += trim(Args[PI]);
+          Out += ')';
           Replaced = true;
           break;
         }

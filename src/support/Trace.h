@@ -121,10 +121,14 @@ private:
 
 #if defined(CLGS_TELEMETRY)
 
+// Two levels, so __LINE__ expands before the paste and every span gets
+// its own variable: two spans can share a scope.
+#define CLGS_TRACE_CONCAT_IMPL(A, B) A##B
+#define CLGS_TRACE_CONCAT(A, B) CLGS_TRACE_CONCAT_IMPL(A, B)
 #define CLGS_TRACE_SPAN(NAME)                                                  \
-  ::clgen::support::ScopedTraceSpan ClgsSpan_##__LINE__(NAME)
+  ::clgen::support::ScopedTraceSpan CLGS_TRACE_CONCAT(ClgsSpan_, __LINE__)(NAME)
 #define CLGS_TRACE_SPAN_IDX(NAME, INDEX)                                       \
-  ::clgen::support::ScopedTraceSpan ClgsSpan_##__LINE__(                       \
+  ::clgen::support::ScopedTraceSpan CLGS_TRACE_CONCAT(ClgsSpan_, __LINE__)(    \
       NAME, static_cast<uint64_t>(INDEX))
 #define CLGS_TRACE_INSTANT(NAME) ::clgen::support::Trace::instant(NAME)
 #define CLGS_TRACE_INSTANT_IDX(NAME, INDEX)                                    \

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 
 using namespace clgen;
@@ -207,8 +208,8 @@ TEST(DrawTokenTest, DeterministicForEqualRngState) {
 
 namespace {
 
-/// The engine's standard n-gram: order 14 over the mined corpus.
-const NGramModel &order14Model(double UnigramSmoothing = 0.1) {
+/// The entries of a 200-file mined corpus.
+const std::vector<std::string> &corpusEntries() {
   static const std::vector<std::string> Entries = [] {
     githubsim::GithubSimOptions GOpts;
     GOpts.FileCount = 200;
@@ -216,12 +217,17 @@ const NGramModel &order14Model(double UnigramSmoothing = 0.1) {
                                corpus::CorpusOptions())
         .Entries;
   }();
+  return Entries;
+}
+
+/// The engine's standard n-gram: order 14 over the mined corpus.
+const NGramModel &order14Model(double UnigramSmoothing = 0.1) {
   auto train = [](double Smoothing) {
     NGramOptions Opts;
     Opts.Order = 14;
     Opts.UnigramSmoothing = Smoothing;
     NGramModel M(Opts);
-    M.train(Entries);
+    M.train(corpusEntries());
     return M;
   };
   static const NGramModel Smoothed = train(0.1);
@@ -290,6 +296,111 @@ struct LockstepStream {
 
 } // namespace
 
+TEST(NGramModelTest, MatchesTheBackoffWalkOverTheCountTable) {
+  // The reference model: the count table as a map from context string
+  // to counts, and the stupid-backoff walk from the longest suffix of
+  // the last Order - 1 characters down, discounting by BackoffAlpha per
+  // absent level. The trie cursor gives its distributions bit for bit,
+  // on short windows, across end-of-text and on unknown tokens.
+  const std::vector<std::string> Entries(corpusEntries().begin(),
+                                         corpusEntries().begin() + 40);
+  for (int Order : {1, 3, 14}) {
+    NGramOptions Opts;
+    Opts.Order = Order;
+    NGramModel M(Opts);
+    M.train(Entries);
+    const Vocabulary &Vocab = M.vocabulary();
+    const size_t Window = static_cast<size_t>(Order - 1);
+    std::map<std::string, std::map<int, uint32_t>> Counts;
+    for (const std::string &Entry : Entries)
+      for (size_t I = 0; I <= Entry.size(); ++I)
+        for (size_t L = 0; L <= std::min(Window, I); ++L)
+          ++Counts[Entry.substr(I - L, L)][I == Entry.size()
+                                               ? Vocabulary::EndOfText
+                                               : Vocab.idOf(Entry[I])];
+    EXPECT_EQ(M.contextCount(), Counts.size()) << "order " << Order;
+    auto reference = [&](const std::string &Context) {
+      std::vector<double> Dist(Vocab.size(), 0.0);
+      double Scale = 1.0, Mass = 0.0;
+      for (size_t Skip = 0; Skip <= Context.size(); ++Skip) {
+        auto It = Counts.find(Context.substr(Skip));
+        if (It == Counts.end()) {
+          Scale *= Opts.BackoffAlpha;
+          continue;
+        }
+        double Total = 0.0;
+        for (auto [Id, Count] : It->second)
+          Total += Count;
+        for (auto [Id, Count] : It->second)
+          Dist[Id] += Scale * static_cast<double>(Count) / Total;
+        Mass = Scale;
+        break;
+      }
+      double Floor = Opts.UnigramSmoothing / static_cast<double>(Dist.size());
+      double InvSum = 1.0 / (Mass + Opts.UnigramSmoothing);
+      for (double &P : Dist)
+        P = (P + Floor) * InvSum;
+      return Dist;
+    };
+    // Held-out text, so contexts both hit and miss the table.
+    std::vector<int> Stream;
+    for (size_t E = 40; E < 46; ++E) {
+      for (int Id : Vocab.encode(corpusEntries()[E]))
+        Stream.push_back(Id);
+      Stream.push_back(E % 2 ? Vocabulary::EndOfText : 1000);
+    }
+    M.reset();
+    std::string Context;
+    for (int Id : Stream) {
+      ASSERT_EQ(M.nextDistribution(), reference(Context))
+          << "order " << Order << ", context \"" << Context << "\"";
+      M.observe(Id);
+      Context.push_back(Vocab.charOf(Id));
+      if (Context.size() > Window)
+        Context.erase(0, Context.size() - Window);
+    }
+  }
+}
+
+TEST(NGramModelTest, ShortWindowMatchesTheLowerOrderModel) {
+  // With F < Order - 1 tokens observed, the cursor backs off from a
+  // window of F characters: the full window of the order-(F + 1) model.
+  // Both store the same counts for contexts of at most F characters, so
+  // their distributions agree bit for bit, and drawNext still draws as
+  // drawToken does. The seed holds a token outside the vocabulary and
+  // an end-of-text; both step on '\0'.
+  const std::vector<std::string> Entries(corpusEntries().begin(),
+                                         corpusEntries().begin() + 40);
+  NGramOptions Opts;
+  Opts.Order = 14;
+  NGramModel Full(Opts);
+  Full.train(Entries);
+  std::vector<int> Seed = Full.vocabulary().encode("__ker");
+  Seed.push_back(1000);
+  Seed.push_back(Vocabulary::EndOfText);
+  for (int Id : Full.vocabulary().encode("nel v"))
+    Seed.push_back(Id);
+  ASSERT_LT(Seed.size(), 13u);
+  Full.reset();
+  Rng A(21), B(21);
+  for (size_t F = 0; F <= Seed.size(); ++F) {
+    NGramOptions LowerOpts = Opts;
+    LowerOpts.Order = static_cast<int>(F) + 1;
+    NGramModel Lower(LowerOpts);
+    Lower.train(Entries);
+    for (size_t I = 0; I < F; ++I)
+      Lower.observe(Seed[I]);
+    std::vector<double> Want = Lower.nextDistribution();
+    EXPECT_EQ(Full.nextDistribution(), Want) << "F=" << F;
+    EXPECT_EQ(Full.drawNext(0.7, A), drawToken(Want, 0.7, B)) << "F=" << F;
+    EXPECT_TRUE(sameState(A, B)) << "F=" << F;
+    if (F < Seed.size())
+      Full.observe(Seed[F]);
+  }
+  // Short windows draw through drawToken, so nothing was memoized.
+  EXPECT_EQ(Full.memoizedContexts(), 0u);
+}
+
 TEST(TemperedDrawTest, DrawNextMatchesDrawTokenAtEveryTemperature) {
   for (double T : Temperatures) {
     LockstepStream S(order14Model(), 0xC17E9);
@@ -324,8 +435,8 @@ TEST(TemperedDrawTest, AllZeroDistributionYieldsEndOfText) {
   auto Empty = [](std::vector<double> &D) { D.clear(); };
   Rng A(11), B(11);
   for (int I = 0; I < 3; ++I) { // A miss, then hits.
-    EXPECT_EQ(Memo.draw("zeros", 0.85, A, Zeros), Vocabulary::EndOfText);
-    EXPECT_EQ(Memo.draw("empty", 0.85, A, Empty), Vocabulary::EndOfText);
+    EXPECT_EQ(Memo.draw(0, 0.85, A, Zeros), Vocabulary::EndOfText);
+    EXPECT_EQ(Memo.draw(1, 0.85, A, Empty), Vocabulary::EndOfText);
     B.uniform(); // One uniform per draw, as drawToken takes.
     B.uniform();
     EXPECT_TRUE(sameState(A, B));
@@ -333,13 +444,13 @@ TEST(TemperedDrawTest, AllZeroDistributionYieldsEndOfText) {
 }
 
 TEST(TemperedDrawTest, UnigramBackoffContextMatches) {
-  // No stored context holds the sentinel, so "\0" backs off to the
-  // unigram level, whose distribution is dense: most entries are off
-  // the floor, in every checkpointed block.
+  // No stored context holds the sentinel, so a full window that ends in
+  // it backs off to the unigram level (the trie's root), whose
+  // distribution is dense: most entries are off the floor, in every
+  // checkpointed block.
   LockstepStream S(order14Model(), 7);
   for (double T : Temperatures) {
-    S.Memo.reset();
-    S.Ref.reset();
+    S.restart();
     S.observe(Vocabulary::EndOfText);
     std::vector<double> Dist = S.Ref.nextDistribution();
     EXPECT_GT(std::set<double>(Dist.begin(), Dist.end()).size(),
@@ -378,8 +489,8 @@ TEST(TemperedDrawTest, UnderflowingWeightsMatchAtTinyTemperatures) {
     for (int Round = 0; Round < 50; ++Round) {
       for (size_t K = 0; K < Dists.size(); ++K) {
         int Want = drawToken(Dists[K], T, B);
-        int Got = Memo.draw(std::string(1, static_cast<char>('a' + K)), T,
-                            A, [&](std::vector<double> &D) { D = Dists[K]; });
+        int Got = Memo.draw(static_cast<uint32_t>(K), T, A,
+                            [&](std::vector<double> &D) { D = Dists[K]; });
         ASSERT_EQ(Got, Want) << "T=" << T << ", distribution " << K;
         ASSERT_TRUE(sameState(A, B));
       }
@@ -387,9 +498,9 @@ TEST(TemperedDrawTest, UnderflowingWeightsMatchAtTinyTemperatures) {
   }
   Rng R(1);
   TemperedCdfMemo Memo;
-  EXPECT_EQ(Memo.draw("a", 0.0, R,
-                      [&](std::vector<double> &D) { D = Dists[0]; }),
-            Vocabulary::EndOfText);
+  EXPECT_EQ(
+      Memo.draw(0, 0.0, R, [&](std::vector<double> &D) { D = Dists[0]; }),
+      Vocabulary::EndOfText);
 }
 
 TEST(TemperedDrawTest, CloneStartsWithAnEmptyMemo) {
@@ -417,25 +528,26 @@ TEST(TemperedDrawTest, CloneStartsWithAnEmptyMemo) {
   EXPECT_EQ(Assigned.memoizedContexts(), 0u);
 }
 
-TEST(TemperedDrawTest, StreamPastTheMemoCapStaysExact) {
+TEST(TemperedDrawTest, StreamAcrossManyNodesStaysExact) {
+  // Every context is a prefix of the 13 characters at some position of
+  // the corpus, and after an end-of-text the window's longest stored
+  // suffix is exactly what follows it. So an end-of-text before the 13
+  // characters at every position reaches every node of the trie, far
+  // more than the model's own samples do, and every draw still matches
+  // drawToken. The memo then holds one CDF per node.
   LockstepStream S(order14Model(), 0xCA9);
-  S.run(0.5, 2000);
-  // Random windows are fresh contexts: fill the memo to its cap and run
-  // past it. Later misses draw through drawToken.
-  Rng Noise(17);
-  const int V = static_cast<int>(S.Memo.vocabulary().size());
-  for (size_t I = 0; I < TemperedCdfMemo::MaxContexts + 1000 &&
-                     !HasFailure();
-       ++I) {
-    S.observe(static_cast<int>(Noise.range(1, V - 1)));
-    S.step(0.5);
+  const Vocabulary &Vocab = S.Memo.vocabulary();
+  for (const std::string &Entry : corpusEntries()) {
+    for (size_t I = 0; I < Entry.size() && !HasFailure(); ++I) {
+      S.observe(Vocabulary::EndOfText);
+      for (size_t K = I; K < std::min(Entry.size(), I + 13); ++K) {
+        S.step(0.5);
+        S.observe(Vocab.idOf(Entry[K]));
+      }
+      S.step(0.5);
+    }
   }
-  EXPECT_EQ(S.Memo.memoizedContexts(), TemperedCdfMemo::MaxContexts);
-  // The model's own samples again: memoized contexts hit, new ones
-  // miss, and the memo stays full.
-  S.restart();
-  S.run(0.5, 2000);
-  EXPECT_EQ(S.Memo.memoizedContexts(), TemperedCdfMemo::MaxContexts);
+  EXPECT_EQ(S.Memo.memoizedContexts(), S.Memo.contextCount());
 }
 
 //===----------------------------------------------------------------------===//

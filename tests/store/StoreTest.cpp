@@ -11,6 +11,7 @@
 #include "store/Serialization.h"
 
 #include "clgen/Pipeline.h"
+#include "corpus/Corpus.h"
 #include "githubsim/GithubSim.h"
 #include "model/LstmModel.h"
 #include "model/NGramModel.h"
@@ -344,6 +345,206 @@ TEST(SerializationTest, ModelArchiveRejectsUnknownBackendTag) {
   auto R = loadModel(Dir.file("m.clgs"));
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.errorMessage().find("backend"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// N-gram count tables: deserialize refuses what serialize never writes
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One context of an n-gram count table and its (token id, count)
+/// entries, as the payload lists them.
+struct CountRow {
+  std::string Context;
+  std::vector<std::pair<int32_t, uint32_t>> Entries;
+};
+
+/// The table an order-3 model trained on {"ab"} writes. The vocabulary
+/// "ab" gives the ids 1 and 2; id 0 is the end-of-text sentinel.
+const std::vector<CountRow> TableOfAB = {
+    {"", {{0, 1}, {1, 1}, {2, 1}}},
+    {"a", {{2, 1}}},
+    {"ab", {{0, 1}}},
+    {"b", {{0, 1}}},
+};
+
+std::vector<uint8_t> countTableArchive(int Order,
+                                       const std::vector<CountRow> &Rows) {
+  ArchiveWriter W(ArchiveKind::Model);
+  W.writeI32(Order);
+  W.writeF64(0.4);
+  W.writeF64(0.1);
+  W.writeString("ab");
+  W.writeU64(Rows.size());
+  for (const CountRow &Row : Rows) {
+    W.writeString(Row.Context);
+    W.writeU32(static_cast<uint32_t>(Row.Entries.size()));
+    for (auto [Id, Count] : Row.Entries) {
+      W.writeI32(Id);
+      W.writeU32(Count);
+    }
+  }
+  return W.finalize();
+}
+
+/// Loads the payload of countTableArchive. The container's checksum is
+/// valid, so any error is the table's. Returns the reader's error, or ""
+/// when the table loads.
+std::string loadCountTable(int Order, const std::vector<CountRow> &Rows) {
+  auto Opened = ArchiveReader::fromBytes(countTableArchive(Order, Rows),
+                                         ArchiveKind::Model);
+  EXPECT_TRUE(Opened.ok()) << Opened.errorMessage();
+  ArchiveReader R = Opened.take();
+  model::NGramModel::deserialize(R);
+  return R.ok() ? "" : R.errorMessage();
+}
+
+/// \p Rows with row \p Index changed by \p Edit.
+template <typename EditFn>
+std::vector<CountRow> editedTable(size_t Index, EditFn &&Edit) {
+  std::vector<CountRow> Rows = TableOfAB;
+  Edit(Rows[Index]);
+  return Rows;
+}
+
+::testing::AssertionResult refusedWith(const std::string &Error,
+                                       const std::string &Rule) {
+  if (Error.find(Rule) != std::string::npos)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "expected \"" << Rule << "\", got \"" << Error << "\"";
+}
+
+} // namespace
+
+TEST(NGramArchiveTest, TrainedTableLoads) {
+  model::NGramOptions Opts;
+  Opts.Order = 3;
+  model::NGramModel M(Opts);
+  M.train({"ab"});
+  ArchiveWriter W(ArchiveKind::Model);
+  M.serialize(W);
+  EXPECT_EQ(W.finalize(), countTableArchive(3, TableOfAB));
+  EXPECT_EQ(loadCountTable(3, TableOfAB), "");
+}
+
+TEST(NGramArchiveTest, EmptyTableLoads) {
+  auto Opened =
+      ArchiveReader::fromBytes(countTableArchive(3, {}), ArchiveKind::Model);
+  ASSERT_TRUE(Opened.ok());
+  ArchiveReader R = Opened.take();
+  model::NGramModel M = model::NGramModel::deserialize(R);
+  ASSERT_TRUE(R.ok()) << R.errorMessage();
+  EXPECT_EQ(M.contextCount(), 0u);
+  // With no counts only the smoothing floor is left: a uniform draw.
+  M.observeText("ab");
+  for (double P : M.nextDistribution())
+    EXPECT_DOUBLE_EQ(P, 1.0 / 3.0);
+}
+
+TEST(NGramArchiveTest, RefusesContextsOutOfOrder) {
+  std::vector<CountRow> Rows = TableOfAB;
+  std::swap(Rows[2], Rows[3]); // "b" before "ab".
+  EXPECT_TRUE(refusedWith(loadCountTable(3, Rows), "out of order"));
+}
+
+TEST(NGramArchiveTest, RefusesRepeatedContext) {
+  std::vector<CountRow> Rows = TableOfAB;
+  Rows.insert(Rows.begin() + 1, Rows[1]); // "a" twice.
+  EXPECT_TRUE(refusedWith(loadCountTable(3, Rows), "repeated"));
+}
+
+TEST(NGramArchiveTest, RefusesContextLongerThanOrderMinusOne) {
+  // An order-2 model keeps one character of context; "ab" has two.
+  EXPECT_TRUE(refusedWith(loadCountTable(2, TableOfAB), "longer than"));
+}
+
+TEST(NGramArchiveTest, RefusesContextWithoutItsPrefix) {
+  std::vector<CountRow> Rows = TableOfAB;
+  Rows.erase(Rows.begin() + 1); // "ab" without "a".
+  EXPECT_TRUE(refusedWith(loadCountTable(3, Rows), "without its prefix"));
+  Rows = TableOfAB;
+  Rows.erase(Rows.begin()); // Every context without "".
+  EXPECT_TRUE(refusedWith(loadCountTable(3, Rows), "without its prefix"));
+}
+
+TEST(NGramArchiveTest, RefusesContextWithoutItsSuffix) {
+  std::vector<CountRow> Rows = TableOfAB;
+  Rows.pop_back(); // "ab" without "b".
+  EXPECT_TRUE(refusedWith(loadCountTable(3, Rows), "without its suffix"));
+}
+
+TEST(NGramArchiveTest, RefusesContextWithNoEntries) {
+  auto Empty = [](CountRow &Row) { Row.Entries.clear(); };
+  EXPECT_TRUE(refusedWith(loadCountTable(3, editedTable(1, Empty)),
+                          "no count entries"));
+  EXPECT_TRUE(refusedWith(loadCountTable(3, editedTable(3, Empty)),
+                          "no count entries"));
+}
+
+TEST(NGramArchiveTest, RefusesEntriesOutOfOrder) {
+  EXPECT_TRUE(refusedWith(
+      loadCountTable(3, editedTable(0,
+                                    [](CountRow &Row) {
+                                      std::swap(Row.Entries[0],
+                                                Row.Entries[1]);
+                                    })),
+      "entries out of order"));
+  EXPECT_TRUE(refusedWith(
+      loadCountTable(3, editedTable(0,
+                                    [](CountRow &Row) {
+                                      Row.Entries[1].first = 0;
+                                    })),
+      "entries out of order or repeated"));
+}
+
+TEST(NGramArchiveTest, RefusesEntryOutsideTheVocabulary) {
+  for (int32_t Id : {3, -1, 1 << 30})
+    EXPECT_TRUE(refusedWith(
+        loadCountTable(3, editedTable(1,
+                                      [Id](CountRow &Row) {
+                                        Row.Entries[0].first = Id;
+                                      })),
+        "outside the vocabulary"))
+        << "id " << Id;
+}
+
+TEST(NGramArchiveTest, RefusesZeroCount) {
+  EXPECT_TRUE(refusedWith(
+      loadCountTable(3, editedTable(2,
+                                    [](CountRow &Row) {
+                                      Row.Entries[0].second = 0;
+                                    })),
+      "count of zero"));
+}
+
+TEST(NGramArchiveTest, SerializeDeserializeSerializeIsByteIdentical) {
+  githubsim::GithubSimOptions GOpts;
+  GOpts.FileCount = 100;
+  std::vector<std::string> Entries =
+      corpus::buildCorpus(githubsim::mineGithub(GOpts),
+                          corpus::CorpusOptions())
+          .Entries;
+  for (int Order : {1, 2, 14, 16}) {
+    model::NGramOptions Opts;
+    Opts.Order = Order;
+    model::NGramModel M(Opts);
+    M.train(Entries);
+    ArchiveWriter First(ArchiveKind::Model);
+    M.serialize(First);
+    auto Opened =
+        ArchiveReader::fromBytes(First.finalize(), ArchiveKind::Model);
+    ASSERT_TRUE(Opened.ok());
+    ArchiveReader R = Opened.take();
+    model::NGramModel Loaded = model::NGramModel::deserialize(R);
+    ASSERT_TRUE(R.finish().ok()) << "order " << Order;
+    ArchiveWriter Second(ArchiveKind::Model);
+    Loaded.serialize(Second);
+    EXPECT_EQ(Second.finalize(), First.finalize()) << "order " << Order;
+    EXPECT_EQ(Loaded.contextCount(), M.contextCount()) << "order " << Order;
+    expectIdenticalGeneration(M, Loaded, 0xD1CE + Order);
+  }
 }
 
 TEST(SerializationTest, CorpusSnapshotRoundTrip) {

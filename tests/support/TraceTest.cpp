@@ -281,3 +281,20 @@ TEST(TraceTest, MacrosMatchCompiledInState) {
     EXPECT_EQ(Trace::eventCount(), 0u);
   }
 }
+
+TEST(TraceTest, TwoSpansShareAScope) {
+  Trace::start();
+  {
+    CLGS_TRACE_SPAN("outer-span");
+    CLGS_TRACE_SPAN_IDX("inner-span", 4);
+  }
+  Trace::stop();
+  if (support::telemetryCompiledIn()) {
+    EXPECT_EQ(Trace::eventCount(), 2u);
+    std::string Json = Trace::renderJson();
+    EXPECT_NE(Json.find("\"name\":\"outer-span\""), std::string::npos);
+    EXPECT_NE(Json.find("\"name\":\"inner-span\""), std::string::npos);
+  } else {
+    EXPECT_EQ(Trace::eventCount(), 0u);
+  }
+}
