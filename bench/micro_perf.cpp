@@ -67,8 +67,8 @@ void BM_CompileKernel(benchmark::State &State) {
 }
 BENCHMARK(BM_CompileKernel);
 
-// The label names the loop this build dispatches with ("goto" or
-// "switch", see -DCLGS_FORCE_SWITCH_DISPATCH).
+// The label names the loop an unprofiled launch dispatches with:
+// "goto" on GCC/Clang, "switch" on compilers without computed goto.
 void BM_InterpretKernel(benchmark::State &State) {
   auto K = vm::compileFirstKernel(sampleSource()).take();
   std::vector<vm::BufferData> Bufs = {

@@ -239,13 +239,19 @@ int runPipeline(const RunnerConfig &Cfg) {
   } else {
     Out = Pipeline.synthesizeAndMeasureOrLoad(CacheDir, runtime::amdPlatform(),
                                               SOpts, &Warm);
-    std::printf("stream: %s (key %s)\n",
-                Warm.Warm ? "warm start — kernel set loaded, sampling "
-                            "skipped"
-                : Warm.Persisted
-                    ? "cold — sampled + kernel set persisted"
-                    : "cold — sampled (not persistable for this config)",
-                store::hexDigest(Warm.KeyDigest).c_str());
+    // A refill run, or a model with no key, computes no synthesis key:
+    // print one only when there is one.
+    if (SOpts.RefillFailures)
+      std::printf("stream: cold — sampled (refill runs always sample)\n");
+    else if (Warm.KeyDigest == 0)
+      std::printf("stream: cold — sampled (not persistable for this "
+                  "config)\n");
+    else
+      std::printf("stream: %s (key %s)\n",
+                  Warm.Warm ? "warm start — kernel set loaded, sampling "
+                              "skipped"
+                            : "cold — sampled + kernel set persisted",
+                  store::hexDigest(Warm.KeyDigest).c_str());
   }
 
   size_t GpuBest = 0;
@@ -265,6 +271,11 @@ int runPipeline(const RunnerConfig &Cfg) {
   else
     std::printf("pipeline: %zu kernels (%zu attempts) in %.1f ms\n",
                 Out.Kernels.size(), Out.Stats.Attempts, Out.TotalWallMs);
+  // Synthesis stops short of the target only when its attempt budget
+  // runs out.
+  if (Out.Kernels.size() < Cfg.TargetKernels)
+    std::printf("pipeline: %zu of %zu delivered: attempt budget spent\n",
+                Out.Kernels.size(), Cfg.TargetKernels);
   std::printf("overlap: producer (synthesis) active %.1f ms (%.0f%% of "
               "the wall), measurement drain tail after last accept "
               "%.1f ms\n",
@@ -282,8 +293,8 @@ int runPipeline(const RunnerConfig &Cfg) {
                 "recorded\n",
                 Out.CacheStats.LedgerHits, Out.CacheStats.LedgerRecords);
   if (SOpts.RefillFailures)
-    std::printf("refill: %zu kernels excised and replaced (%zu accepted "
-                "total for %zu delivered)\n",
+    std::printf("refill: %zu kernels excised (%zu accepted total for %zu "
+                "delivered)\n",
                 Out.Excised.size(), Out.Stats.Accepted,
                 Out.Kernels.size());
   std::printf("mapping: %zu best on GPU, %zu on CPU, %zu failed\n", GpuBest,
@@ -537,23 +548,20 @@ void printUsage(const char *Prog, std::FILE *Out) {
       "  --retries N           retry budget for transient failure classes\n"
       "                        (injected faults, I/O); deterministic traps\n"
       "                        never retry (default 2)\n"
-      "  --inject P            arm every compiled-in failpoint site with\n"
-      "                        trip probability P in (0,1]; requires a\n"
-      "                        build with -DCLGS_FAILPOINTS=ON\n"
+      "  --inject P            arm every failpoint site with trip\n"
+      "                        probability P in (0,1]\n"
       "\n"
       "Telemetry (pipeline modes; observation only — output is\n"
       "bit-identical with or without these flags):\n"
       "  --trace-out FILE      write Chrome trace-event JSON of the run\n"
       "                        (a span per kernel lifecycle stage: sample,\n"
       "                        filter, accept, enqueue, measure,\n"
-      "                        cache/ledger writes; load in Perfetto);\n"
-      "                        requires a build with -DCLGS_TELEMETRY=ON\n"
+      "                        cache/ledger writes; load in Perfetto)\n"
       "  --metrics-out FILE    write the metrics registry text exposition\n"
-      "                        after the run; requires -DCLGS_TELEMETRY=ON\n"
+      "                        after the run\n"
       "  --profile-vm          aggregate per-opcode and opcode-pair\n"
       "                        execution counts over every VM launch and\n"
-      "                        print the top-10 report; available in\n"
-      "                        every build\n"
+      "                        print the top-10 report\n"
       "\n"
       "A pipeline run that delivers zero successful measurements —\n"
       "whether every kernel failed or the delivery was empty — exits\n"
@@ -758,21 +766,7 @@ int main(int Argc, char **Argv) {
                  "pipeline mode (--cache-dir and/or --pipeline)\n");
     return 2;
   }
-  if ((!Cfg.TraceOut.empty() || !Cfg.MetricsOut.empty()) &&
-      !support::telemetryCompiledIn()) {
-    std::fprintf(stderr,
-                 "--trace-out/--metrics-out require a build with "
-                 "-DCLGS_TELEMETRY=ON (telemetry sites are compiled "
-                 "out)\n");
-    return 2;
-  }
   if (Cfg.InjectProb > 0.0) {
-    if (!support::FailPoints::sitesCompiledIn()) {
-      std::fprintf(stderr,
-                   "--inject requires a build with -DCLGS_FAILPOINTS=ON "
-                   "(failpoint sites are compiled out)\n");
-      return 2;
-    }
     support::FailPlan Plan;
     Plan.Probability = Cfg.InjectProb;
     support::FailPoints::arm(Plan);

@@ -77,9 +77,7 @@ void printUsage(std::FILE *Out) {
       "    --sweep-budget-bytes N  byte budget each sweep enforces (0 =\n"
       "                            validate/quarantine only)\n"
       "    --metrics-out FILE      write the metrics exposition on drain\n"
-      "                            (requires -DCLGS_TELEMETRY=ON)\n"
       "    --trace-out FILE        write Chrome trace JSON on drain\n"
-      "                            (requires -DCLGS_TELEMETRY=ON)\n"
       "  ping --socket PATH        liveness probe: prints the daemon pid\n"
       "  synth --socket PATH [--kernels N] [--seed N] [--temperature T]\n"
       "                            submit one request; prints warm/cold,\n"

@@ -162,9 +162,6 @@ int runStats(const std::string &Dir) {
     return 1;
   }
   std::fputs(support::MetricsRegistry::renderText({}).c_str(), stdout);
-  if (!support::telemetryCompiledIn())
-    std::printf("# telemetry sites compiled out (-DCLGS_TELEMETRY=OFF); "
-                "the registry only sees always-on instrumentation\n");
   return 0;
 }
 

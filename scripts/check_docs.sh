@@ -24,6 +24,10 @@
 #   - every *.md file named in a comment under src/, bench/, examples/
 #     or tests/ must exist, at the repo root, under docs/ or at the
 #     path given
+#   - every -DCLGS_<NAME> build setting named anywhere in the docs
+#     (fenced blocks included), CMakeLists.txt, src/, bench/, examples/,
+#     tests/ or scripts/ must be declared in CMakeLists.txt by option( or
+#     set(... CACHE, so a deleted build option cannot live on in prose
 #
 #===----------------------------------------------------------------------===//
 
@@ -182,6 +186,17 @@ while IFS= read -r HIT; do
   done
 done < <(grep -rHoE --include='*.h' --include='*.cpp' --include='*.inc' \
            '(//|/\*|^[[:space:]]*\*).*\.md\b.*' src bench examples tests)
+
+# --- Build settings named as -DCLGS_<NAME> -------------------------------
+DECLARED=$(tr '\n' ' ' < CMakeLists.txt |
+           grep -oE 'option\([[:space:]]*CLGS_[A-Z0-9_]+|set\([[:space:]]*CLGS_[A-Z0-9_]+[^)]*CACHE' |
+           grep -oE 'CLGS_[A-Z0-9_]+' | sort -u)
+while IFS=: read -r SRC SETTING; do
+  if ! printf '%s\n' "$DECLARED" | grep -qx -- "${SETTING#-D}"; then
+    fail "$SRC names build setting \`$SETTING\` that CMakeLists.txt does not declare"
+  fi
+done < <(grep -rHoE -- '-DCLGS_[A-Z0-9_]+' "${DOCS[@]}" CMakeLists.txt \
+           src bench examples tests scripts | sort -u)
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "check_docs: $FAILURES stale documentation reference(s)" >&2

@@ -15,7 +15,11 @@
 #
 # Then the streaming pipeline (--pipeline --cache-dir) runs cold and
 # warm on its own store: the warm run must report 0 attempts (it loads
-# the kernel set and draws nothing) and the same device mapping.
+# the kernel set and draws nothing) and the same device mapping. Last,
+# a refill run (--pipeline --refill --cache-dir) must print no
+# synthesis key, since a refill run computes none, and must say that
+# its default attempt budget ran out before all 40 kernels were
+# delivered.
 #
 # Passing proves the committed goldens, the library renderers and the
 # CLI surface agree byte-for-byte, cold and warm. Registered as the
@@ -75,4 +79,11 @@ grep -Eq "^pipeline: [0-9]+ kernels \(0 attempts, [0-9]+ archived\)" \
   "$(grep "^mapping:" "$WORK/pipeline_warm.log")" ] \
   || { echo "check_golden: warm pipeline mapping differs" >&2; exit 1; }
 
-echo "check_golden: OK (cold + warm reports byte-identical to tests/golden, warm pipeline drew nothing)"
+REFILL_LOG="$WORK/pipeline_refill.log"
+"$RUNNER" --pipeline --refill --cache-dir "$WORK/refill" > "$REFILL_LOG"
+grep -Fqx "stream: cold — sampled (refill runs always sample)" "$REFILL_LOG" \
+  || { echo "check_golden: refill run misreported its stream" >&2; exit 1; }
+grep -Fqx "pipeline: 33 of 40 delivered: attempt budget spent" "$REFILL_LOG" \
+  || { echo "check_golden: refill run hid its shortfall" >&2; exit 1; }
+
+echo "check_golden: OK (cold + warm reports byte-identical to tests/golden, warm pipeline drew nothing, refill shortfall reported)"

@@ -29,13 +29,17 @@ DriverOptions runtime::batchDriverOptions(const DriverOptions &Opts,
   return KOpts;
 }
 
-Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
-                                          const Platform &P,
-                                          const DriverOptions &Opts) {
+namespace {
+
+/// runBenchmark's body; every launch it makes profiles into \p Prof
+/// when non-null.
+Result<Measurement> measure(const CompiledKernel &Kernel, const Platform &P,
+                            const DriverOptions &Opts, OpcodeProfile *Prof) {
   Rng R(Opts.Seed);
 
   if (Opts.RunDynamicCheck) {
     CheckOptions COpts;
+    COpts.Profile = Prof;
     Rng CheckRng = R.fork();
     CheckResult CR = checkKernel(Kernel, COpts, CheckRng);
     if (!CR.useful())
@@ -64,18 +68,9 @@ Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
   Config.MaxWorkGroups = Opts.MaxSimulatedGroups;
   Config.WatchdogMs = Opts.WatchdogMs;
   Config.TrapDivZero = Opts.TrapDivZero;
-
-  // Profile into a launch-local buffer, then fold into the shared
-  // aggregate exactly once — even failed launches executed real
-  // instructions, and those counts are part of the corpus's dynamic
-  // opcode mix.
-  OpcodeProfile LocalProf;
-  if (Opts.Profile)
-    Config.Profile = &LocalProf;
+  Config.Profile = Prof;
 
   auto Run = launchKernel(Kernel, Pl.Args, Pl.Buffers, Config);
-  if (Opts.Profile)
-    Opts.Profile->add(LocalProf);
   if (!Run.ok())
     return Result<Measurement>::error("launch failed: " +
                                           Run.errorMessage(),
@@ -88,6 +83,23 @@ Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
   M.LocalSize = Pl.LocalSize;
   M.CpuTime = estimateRuntime(P.Cpu, M.Counters, M.Transfer);
   M.GpuTime = estimateRuntime(P.Gpu, M.Counters, M.Transfer);
+  return M;
+}
+
+} // namespace
+
+Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
+                                          const Platform &P,
+                                          const DriverOptions &Opts) {
+  if (!Opts.Profile)
+    return measure(Kernel, P, Opts, nullptr);
+  // Profile into a run-local buffer, then fold into the shared
+  // aggregate exactly once. The dynamic checker's launches and failed
+  // launches executed real instructions too, and those counts are part
+  // of the corpus's dynamic opcode mix.
+  OpcodeProfile LocalProf;
+  Result<Measurement> M = measure(Kernel, P, Opts, &LocalProf);
+  Opts.Profile->add(LocalProf);
   return M;
 }
 
@@ -106,7 +118,7 @@ Result<Measurement>
 runtime::runBenchmarkWithRetry(const CompiledKernel &Kernel,
                                const Platform &P, const DriverOptions &Opts,
                                uint32_t *AttemptsOut) {
-  CLGS_TELEMETRY_ONLY(uint64_t T0 = support::telemetryNowNs();)
+  uint64_t T0 = support::telemetryNowNs();
   for (uint32_t Attempt = 0;; ++Attempt) {
     Result<Measurement> M = runBenchmark(Kernel, P, Opts);
     if (AttemptsOut)
@@ -121,8 +133,8 @@ runtime::runBenchmarkWithRetry(const CompiledKernel &Kernel,
       } else {
         CLGS_COUNT("clgen.driver.failures");
         // Watchdog fires on host load, not workload: volatile.
-        CLGS_TELEMETRY_ONLY(if (M.trap() == TrapKind::WatchdogTimeout)
-                                CLGS_COUNT_V("clgen.driver.watchdog_timeouts");)
+        if (M.trap() == TrapKind::WatchdogTimeout)
+          CLGS_COUNT_V("clgen.driver.watchdog_timeouts");
       }
       return M;
     }

@@ -79,12 +79,14 @@ struct DriverOptions {
   /// instead of OpenCL's silent zero. Changes kernel-visible semantics,
   /// so it IS part of the measurement cache/ledger key recipe.
   bool TrapDivZero = false;
-  /// When non-null, every launch this driver executes accumulates its
-  /// opcode/opcode-pair profile here (vm/Profile.h). Pure observation —
-  /// excluded from cache keys, never affects measurements — and the
-  /// aggregate is identical for any worker count (commutative merges).
-  /// Note cache/ledger hits skip execution, so a warm run profiles only
-  /// what it actually executed.
+  /// When non-null, every launch this driver executes, the dynamic
+  /// checker's included, accumulates its opcode/opcode-pair profile
+  /// here (vm/Profile.h), and so runs the VM's switch loop, which
+  /// carries the profile hook. Pure observation — excluded from cache
+  /// keys, never affects measurements — and the aggregate is identical
+  /// for any worker count (commutative merges). Note cache/ledger hits
+  /// skip execution, so a warm run profiles only what it actually
+  /// executed.
   vm::SharedOpcodeProfile *Profile = nullptr;
 };
 

@@ -9,6 +9,7 @@
 #include "store/Archive.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 
 #include <unistd.h>
@@ -143,8 +144,14 @@ Status serve::validateRequest(const SynthesizeRequest &Req) {
     return Status::error("target kernel count must be positive: a "
                          "zero-target request would succeed with an empty "
                          "kernel set (usage error)");
-  if (!(Req.Temperature > 0.0))
-    return Status::error("sampling temperature must be positive");
+  if (Req.TargetKernels > MaxTargetKernels)
+    return Status::error("target kernel count " +
+                         std::to_string(Req.TargetKernels) +
+                         " exceeds the cap of " +
+                         std::to_string(MaxTargetKernels) + " (usage error)");
+  if (!(Req.Temperature > 0.0) || !std::isfinite(Req.Temperature))
+    return Status::error("sampling temperature must be positive and finite "
+                         "(usage error)");
   return Status();
 }
 

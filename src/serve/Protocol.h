@@ -58,6 +58,18 @@ constexpr uint32_t ProtocolVersion = 1;
 /// below this — anything bigger is corruption or abuse.
 constexpr uint32_t MaxFrameBytes = 64u * 1024 * 1024;
 
+/// Largest TargetKernels a request may ask for. A response carries one
+/// source and one measurement row per kernel: a sample of at most
+/// 2048 characters (SamplingOptions::MaxLength) before normalisation,
+/// and 33 bytes of fixed row fields plus a one-line diagnostic. At 4096
+/// kernels each one has MaxFrameBytes / 4096 = 16 KiB of the frame,
+/// eight times the sample cap, so a response at the cap still fits one
+/// frame. The cap also bounds a flight's attempt budget (100 attempts
+/// per kernel), so graceful drain and coalesced waiters always finish.
+constexpr uint64_t MaxTargetKernels = 4096;
+static_assert(MaxTargetKernels * 16 * 1024 <= MaxFrameBytes,
+              "a response at the target cap must fit one frame");
+
 /// Message type tags. Requests are < 128, responses >= 128.
 enum class MessageType : uint8_t {
   PingRequest = 1,
@@ -134,7 +146,9 @@ struct Message {
 
 /// Validates the semantic request fields. Target-0 is an explicit usage
 /// error (a zero-target run would "succeed" with an empty kernel set —
-/// the silent no-op the serve layer refuses to serve).
+/// the silent no-op the serve layer refuses to serve), and so is a
+/// target above MaxTargetKernels or a temperature that is not a
+/// positive finite number.
 Status validateRequest(const SynthesizeRequest &Req);
 
 //===----------------------------------------------------------------------===//

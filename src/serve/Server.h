@@ -83,8 +83,7 @@ struct ServerConfig {
   /// only, evict nothing).
   uint64_t SweepIntervalMs = 0;
   uint64_t SweepBudgetBytes = 0;
-  /// Flushed on drain when non-empty (requires -DCLGS_TELEMETRY=ON to
-  /// carry data).
+  /// Flushed on drain when non-empty.
   std::string MetricsOut;
   std::string TraceOut;
 };

@@ -63,15 +63,14 @@ public:
     std::unique_lock<std::mutex> Lock(Mutex);
     // Metrics aggregate over every Channel instance in the process;
     // blocked-producer time only charges the waits that actually park.
-    CLGS_TELEMETRY_ONLY(if (!Closed && Buffer.size() >= Cap) {
+    if (!Closed && Buffer.size() >= Cap) {
       CLGS_COUNT_V("clgen.channel.push_blocks");
       CLGS_TRACE_INSTANT("channel.full");
       uint64_t T0 = telemetryNowNs();
       NotFull.wait(Lock, [this] { return Closed || Buffer.size() < Cap; });
       CLGS_HIST_US("clgen.channel.push_block_us",
                    (telemetryNowNs() - T0) / 1000);
-    })
-    NotFull.wait(Lock, [this] { return Closed || Buffer.size() < Cap; });
+    }
     if (Closed)
       return false;
     Buffer.push_back(std::move(Value));
@@ -101,15 +100,14 @@ public:
   /// survive close() and are always delivered.
   std::optional<T> pop() {
     std::unique_lock<std::mutex> Lock(Mutex);
-    CLGS_TELEMETRY_ONLY(if (!Closed && Buffer.empty()) {
+    if (!Closed && Buffer.empty()) {
       CLGS_COUNT_V("clgen.channel.pop_blocks");
       CLGS_TRACE_INSTANT("channel.empty");
       uint64_t T0 = telemetryNowNs();
       NotEmpty.wait(Lock, [this] { return Closed || !Buffer.empty(); });
       CLGS_HIST_US("clgen.channel.pop_block_us",
                    (telemetryNowNs() - T0) / 1000);
-    })
-    NotEmpty.wait(Lock, [this] { return Closed || !Buffer.empty(); });
+    }
     if (Buffer.empty())
       return std::nullopt; // Closed and drained.
     std::optional<T> Out(std::move(Buffer.front()));

@@ -9,6 +9,7 @@
 #include "support/Rng.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <mutex>
@@ -39,7 +40,6 @@ struct SiteState {
 
 struct Registry {
   std::mutex Mutex;
-  bool Armed = false;
   FailPlan Plan;
   std::map<std::string, SiteState> Sites;
 };
@@ -49,41 +49,17 @@ Registry &registry() {
   return R;
 }
 
-} // namespace
+/// Whether a plan is armed. Written only under the registry lock, and
+/// read without it by trip()'s disarmed fast path; constant-initialised,
+/// so that read needs no static-init guard either.
+std::atomic<bool> Armed{false};
 
-bool FailPoints::sitesCompiledIn() {
-#if defined(CLGS_FAILPOINTS)
-  return true;
-#else
-  return false;
-#endif
-}
-
-void FailPoints::arm(const FailPlan &Plan) {
+/// trip() once a plan is seen armed. Kept out of line so the disarmed
+/// path sets up no frame for the locked one.
+[[gnu::noinline]] bool tripArmed(const char *Site, uint64_t Key) {
   Registry &R = registry();
   std::lock_guard<std::mutex> Lock(R.Mutex);
-  R.Plan = Plan;
-  R.Armed = true;
-  R.Sites.clear();
-}
-
-void FailPoints::disarm() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  R.Armed = false;
-  R.Sites.clear();
-}
-
-bool FailPoints::armed() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  return R.Armed;
-}
-
-bool FailPoints::trip(const char *Site, uint64_t Key) {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  if (!R.Armed)
+  if (!Armed.load(std::memory_order_relaxed))
     return false;
   if (!R.Plan.Sites.empty() &&
       std::find(R.Plan.Sites.begin(), R.Plan.Sites.end(), Site) ==
@@ -101,6 +77,30 @@ bool FailPoints::trip(const char *Site, uint64_t Key) {
   if (Fire)
     ++S.Fires;
   return Fire;
+}
+
+} // namespace
+
+void FailPoints::arm(const FailPlan &Plan) {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  R.Plan = Plan;
+  R.Sites.clear();
+  Armed.store(true, std::memory_order_release);
+}
+
+void FailPoints::disarm() {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  Armed.store(false, std::memory_order_release);
+  R.Sites.clear();
+}
+
+bool FailPoints::armed() { return Armed.load(std::memory_order_acquire); }
+
+bool FailPoints::trip(const char *Site, uint64_t Key) {
+  // Every build compiles every site in: disarmed, a site is this load.
+  return Armed.load(std::memory_order_relaxed) && tripArmed(Site, Key);
 }
 
 bool FailPoints::stall(const char *Site, uint64_t Key) {

@@ -8,9 +8,8 @@
 /// Deterministic failpoint framework. Named injection sites are scattered
 /// through the pipeline (interpreter traps, payload generation, channel
 /// producer/consumer, store I/O, lock acquisition) behind the
-/// CLGS_FAILPOINT macros, which compile to a branch only when the library
-/// is built with -DCLGS_FAILPOINTS=ON and to the constant `false`
-/// otherwise — release builds carry zero overhead.
+/// CLGS_FAILPOINT macros. Every build compiles every site in; while no
+/// plan is armed a site costs one relaxed atomic load and takes no lock.
 ///
 /// Injection is *bit-reproducible*: whether the n-th evaluation of a
 /// (site, key) pair trips is a pure function of (plan seed, site name,
@@ -19,11 +18,6 @@
 /// advances on every evaluation, a retry of a tripped operation sees a
 /// fresh decision and can clear — exactly the behavior the retry layer
 /// needs to converge.
-///
-/// The runtime API (arm/disarm/trip/stats) is always compiled so tests
-/// can exercise the decision logic in any build; only the *sites* are
-/// conditionally compiled. FailPoints::sitesCompiledIn() reports whether
-/// this library build contains live sites.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,10 +51,6 @@ struct FailPlan {
 /// Global failpoint registry. All members are thread-safe.
 class FailPoints {
 public:
-  /// True when this build of the library compiled the injection sites in
-  /// (-DCLGS_FAILPOINTS=ON).
-  static bool sitesCompiledIn();
-
   /// Installs \p Plan and resets all per-site counters.
   static void arm(const FailPlan &Plan);
 
@@ -72,7 +62,8 @@ public:
 
   /// The decision procedure behind the CLGS_FAILPOINT macros: records a
   /// hit for (\p Site, \p Key) and returns true when this evaluation
-  /// trips under the armed plan. Always false when disarmed.
+  /// trips under the armed plan. Always false when disarmed, and then it
+  /// reads one atomic and returns without taking the registry lock.
   static bool trip(const char *Site, uint64_t Key = 0);
 
   /// Trips like trip(), and on a trip sleeps for the plan's StallMs
@@ -101,17 +92,11 @@ public:
 /// CLGS_FAILPOINT_KEYED threads a stable identity (accept index, cache
 /// key) into the decision so per-item streams are scheduling-independent.
 /// CLGS_FAILPOINT_STALL is a statement, `CLGS_FAILPOINT_STALL(SITE, KEY);`,
-/// with no value in either build.
-#if defined(CLGS_FAILPOINTS)
+/// with no value.
 #define CLGS_FAILPOINT(SITE) (::clgen::support::FailPoints::trip(SITE))
 #define CLGS_FAILPOINT_KEYED(SITE, KEY)                                        \
   (::clgen::support::FailPoints::trip(SITE, (KEY)))
 #define CLGS_FAILPOINT_STALL(SITE, KEY)                                        \
   ((void)::clgen::support::FailPoints::stall(SITE, (KEY)))
-#else
-#define CLGS_FAILPOINT(SITE) (false)
-#define CLGS_FAILPOINT_KEYED(SITE, KEY) (false)
-#define CLGS_FAILPOINT_STALL(SITE, KEY) ((void)0)
-#endif
 
 #endif // CLGEN_SUPPORT_FAILPOINT_H

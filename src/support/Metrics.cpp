@@ -16,14 +16,6 @@
 namespace clgen {
 namespace support {
 
-bool telemetryCompiledIn() {
-#if defined(CLGS_TELEMETRY)
-  return true;
-#else
-  return false;
-#endif
-}
-
 uint64_t telemetryNowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

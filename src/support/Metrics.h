@@ -25,12 +25,7 @@
 ///    state always renders identical bytes.
 ///
 /// Instrumentation sites use the `CLGS_COUNT`/`CLGS_HIST_US`/... macros
-/// below. Like the failpoint framework, the sites compile in only under
-/// `-DCLGS_TELEMETRY=ON` (the default); with telemetry compiled out
-/// every macro expands to nothing and the binary carries no per-site
-/// cost at all — `scripts/check_variants.sh` proves the OFF build
-/// drifts by nothing. The registry API itself is always compiled so
-/// tools can render (an empty) exposition unconditionally.
+/// below; like the failpoint sites, every build compiles them in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,11 +40,6 @@
 
 namespace clgen {
 namespace support {
-
-/// True when this binary was built with -DCLGS_TELEMETRY=ON, i.e. the
-/// CLGS_COUNT / CLGS_HIST_US / trace-span instrumentation sites are
-/// compiled in. Mirrors FailPoints::sitesCompiledIn().
-bool telemetryCompiledIn();
 
 /// Steady-clock nanoseconds; the shared time source for histograms and
 /// trace spans (monotonic, comparable within one process).
@@ -275,15 +265,12 @@ public:
 } // namespace clgen
 
 //===----------------------------------------------------------------------===//
-// Instrumentation-site macros (compiled out under CLGS_TELEMETRY=OFF)
+// Instrumentation-site macros
 //===----------------------------------------------------------------------===//
 //
 // Each site pays one function-local-static guard check plus a relaxed
-// atomic op when compiled in, and nothing at all when compiled out.
-// NAME must be a string literal. The _V variants register the metric as
-// Volatile (scheduling/timing dependent).
-
-#if defined(CLGS_TELEMETRY)
+// atomic op. NAME must be a string literal. The _V variants register the
+// metric as Volatile (scheduling/timing dependent).
 
 #define CLGS_COUNT(NAME) CLGS_COUNT_N(NAME, 1)
 #define CLGS_COUNT_N(NAME, N)                                                  \
@@ -318,35 +305,5 @@ public:
         ::clgen::support::MetricsRegistry::histogram(NAME);                    \
     ClgsH_.record(VALUE);                                                      \
   } while (false)
-/// Wraps declarations/statements that only exist for telemetry (timing
-/// locals and the like) so the OFF build carries none of them.
-#define CLGS_TELEMETRY_ONLY(...) __VA_ARGS__
-
-#else // !CLGS_TELEMETRY
-
-#define CLGS_COUNT(NAME)                                                       \
-  do {                                                                         \
-  } while (false)
-#define CLGS_COUNT_N(NAME, N)                                                  \
-  do {                                                                         \
-  } while (false)
-#define CLGS_COUNT_V(NAME)                                                     \
-  do {                                                                         \
-  } while (false)
-#define CLGS_COUNT_VN(NAME, N)                                                 \
-  do {                                                                         \
-  } while (false)
-#define CLGS_GAUGE_ADD(NAME, DELTA)                                            \
-  do {                                                                         \
-  } while (false)
-#define CLGS_GAUGE_SET(NAME, VALUE)                                            \
-  do {                                                                         \
-  } while (false)
-#define CLGS_HIST_US(NAME, VALUE)                                              \
-  do {                                                                         \
-  } while (false)
-#define CLGS_TELEMETRY_ONLY(...)
-
-#endif // CLGS_TELEMETRY
 
 #endif // CLGEN_SUPPORT_METRICS_H

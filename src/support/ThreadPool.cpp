@@ -69,7 +69,7 @@ bool ThreadPool::popOrSteal(size_t Worker, Task &Out) {
 
 void ThreadPool::runTask(size_t Worker, Task &T) {
   CLGS_COUNT("clgen.pool.tasks");
-  CLGS_TELEMETRY_ONLY(uint64_t TaskT0 = support::telemetryNowNs();)
+  uint64_t TaskT0 = support::telemetryNowNs();
   try {
     T(Worker);
   } catch (...) {
@@ -106,7 +106,7 @@ void ThreadPool::workerLoop(size_t Worker) {
     // submission that raced the scan leaves SubmitEpoch advanced and we
     // loop straight back to the queues.
     CLGS_COUNT_V("clgen.pool.idle_waits");
-    CLGS_TELEMETRY_ONLY(uint64_t IdleT0 = support::telemetryNowNs();)
+    uint64_t IdleT0 = support::telemetryNowNs();
     WorkAvailable.wait(Lock, [this, SeenEpoch] {
       return ShuttingDown || SubmitEpoch != SeenEpoch;
     });

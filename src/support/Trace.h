@@ -26,9 +26,7 @@
 /// Spans mark the kernel lifecycle stages (sample → filter → accept →
 /// enqueue → measure → cache/ledger write); instants mark pool/channel
 /// edge events (steals, full/empty transitions). Sites use
-/// CLGS_TRACE_SPAN / CLGS_TRACE_INSTANT below, compiled out with the
-/// rest of telemetry under CLGS_TELEMETRY=OFF. The Trace runtime itself
-/// (start/stop/render) is always compiled.
+/// CLGS_TRACE_SPAN / CLGS_TRACE_INSTANT below.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,8 +117,6 @@ private:
 } // namespace support
 } // namespace clgen
 
-#if defined(CLGS_TELEMETRY)
-
 // Two levels, so __LINE__ expands before the paste and every span gets
 // its own variable: two spans can share a scope.
 #define CLGS_TRACE_CONCAT_IMPL(A, B) A##B
@@ -133,22 +129,5 @@ private:
 #define CLGS_TRACE_INSTANT(NAME) ::clgen::support::Trace::instant(NAME)
 #define CLGS_TRACE_INSTANT_IDX(NAME, INDEX)                                    \
   ::clgen::support::Trace::instant(NAME, static_cast<uint64_t>(INDEX))
-
-#else // !CLGS_TELEMETRY
-
-#define CLGS_TRACE_SPAN(NAME)                                                  \
-  do {                                                                         \
-  } while (false)
-#define CLGS_TRACE_SPAN_IDX(NAME, INDEX)                                       \
-  do {                                                                         \
-  } while (false)
-#define CLGS_TRACE_INSTANT(NAME)                                               \
-  do {                                                                         \
-  } while (false)
-#define CLGS_TRACE_INSTANT_IDX(NAME, INDEX)                                    \
-  do {                                                                         \
-  } while (false)
-
-#endif // CLGS_TELEMETRY
 
 #endif // CLGEN_SUPPORT_TRACE_H

@@ -56,7 +56,7 @@ enum class TrapKind : uint8_t {
   CheckInputInsensitive = 9,
   /// Dynamic checker: two runs on identical payloads disagreed.
   CheckNonDeterministic = 10,
-  /// A failpoint fired (CLGS_FAILPOINTS builds only).
+  /// A failpoint fired.
   Injected = 11,
   /// Store/ledger/lock I/O failure.
   IoError = 12,

@@ -16,11 +16,9 @@
 #include <cmath>
 
 /// Computed-goto (label-address-table) dispatch is a GCC/Clang extension;
-/// CLGS_FORCE_SWITCH_DISPATCH (cmake -DCLGS_FORCE_SWITCH_DISPATCH=ON)
-/// disables it so the portable switch loop can be tested on compilers
-/// that do have the extension.
-#if (defined(__GNUC__) || defined(__clang__)) &&                               \
-    !defined(CLGS_FORCE_SWITCH_DISPATCH)
+/// other compilers run every launch on the portable switch loop, which
+/// profiled launches run everywhere.
+#if defined(__GNUC__) || defined(__clang__)
 #define CLGS_VM_COMPUTED_GOTO 1
 #else
 #define CLGS_VM_COMPUTED_GOTO 0

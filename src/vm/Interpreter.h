@@ -34,10 +34,10 @@ namespace vm {
 
 struct OpcodeProfile;
 
-/// True when this build dispatches with a computed-goto label-address
-/// table (GCC/Clang extension; forced off by
-/// -DCLGS_FORCE_SWITCH_DISPATCH=ON). When false the portable switch
-/// instantiation of the same handler bodies runs instead, with the same
+/// True when this build dispatches unprofiled launches with a
+/// computed-goto label-address table (a GCC/Clang extension). Profiled
+/// launches, and every launch when this is false, run the portable
+/// switch instantiation of the same handler bodies, with the same
 /// results.
 bool threadedDispatchAvailable();
 

@@ -4,23 +4,102 @@
 // contract (failed kernels excised, replacements drawn by resuming the
 // deterministic sampling cursor, surviving pairs byte-identical to a
 // fault-free run at the same accept indices), the exactly-once
-// accounting invariant, worker-count invariance under refill and the
-// streaming failure-ledger round trip. The full acceptance scenario
-// with every failpoint site class armed is in
-// tests/failpoints/PipelineFaultInjectionTest.cpp.
+// accounting invariant, worker-count invariance under refill, the
+// streaming failure-ledger round trip, and the full acceptance scenario
+// with every failpoint site class armed.
 //
 //===----------------------------------------------------------------------===//
 
-#include "PipelineFaultFixtures.h"
+#include "clgen/Pipeline.h"
 
+#include "../TestUtil.h"
+#include "githubsim/GithubSim.h"
 #include "store/FailureLedger.h"
 #include "store/ResultCache.h"
+#include "store/Serialization.h"
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace clgen;
 using namespace clgen::core;
-using namespace clgen::faulttest;
+using testutil::ArmedPlan;
+using testutil::ScratchDir;
+
+namespace {
+
+std::vector<uint8_t> measurementBytes(const Result<runtime::Measurement> &M) {
+  store::ArchiveWriter W(store::ArchiveKind::Measurement);
+  W.writeBool(M.ok());
+  if (M.ok())
+    store::serializeMeasurement(W, M.get());
+  else
+    W.writeString(M.errorMessage());
+  return W.finalize();
+}
+
+struct FaultWorkload {
+  std::unique_ptr<ClgenPipeline> Pipeline;
+  StreamingOptions Opts;
+  runtime::Platform P = runtime::amdPlatform();
+};
+
+/// Shared workload for the refill tests. Roughly a quarter of the
+/// kernels this model synthesizes trap with a deterministic
+/// out-of-bounds access at measurement time (the first at accept index
+/// 5), which is what gives the refill pass real work without any
+/// injection — so targets here are kept >= 6.
+FaultWorkload makeFaultWorkload(size_t TargetKernels) {
+  FaultWorkload W;
+  githubsim::GithubSimOptions GOpts;
+  GOpts.FileCount = 60;
+  auto Files = githubsim::mineGithub(GOpts);
+  PipelineOptions POpts;
+  POpts.NGram.Order = 8;
+  W.Pipeline = std::make_unique<ClgenPipeline>(
+      ClgenPipeline::train(Files, POpts));
+  W.Opts.Synthesis.TargetKernels = TargetKernels;
+  W.Opts.Synthesis.MaxAttempts = 20000;
+  W.Opts.Driver.GlobalSize = 2048;
+  W.Opts.MeasureWorkers = 2;
+  return W;
+}
+
+/// Reconstructs the accept indices of the surviving kernels: accept
+/// order minus the excised indices.
+std::vector<size_t> survivorIndices(const StreamingResult &Out) {
+  std::set<size_t> Excised;
+  for (const ExcisedKernel &E : Out.Excised)
+    Excised.insert(E.AcceptIndex);
+  std::vector<size_t> Indices;
+  for (size_t I = 0; I < Out.Stats.Accepted; ++I)
+    if (!Excised.count(I))
+      Indices.push_back(I);
+  return Indices;
+}
+
+/// The exactly-once refill contract: every accepted kernel either
+/// survives with a successful measurement or appears in Excised with a
+/// classified cause — never both, never neither.
+void expectRefillInvariants(const StreamingResult &Out) {
+  EXPECT_EQ(Out.Kernels.size(), Out.Measurements.size());
+  EXPECT_EQ(Out.Stats.Accepted, Out.Kernels.size() + Out.Excised.size());
+  for (const auto &M : Out.Measurements)
+    EXPECT_TRUE(M.ok()) << "refill must excise every failed measurement: "
+                        << M.errorMessage();
+  std::set<size_t> Seen;
+  for (const ExcisedKernel &E : Out.Excised) {
+    EXPECT_TRUE(Seen.insert(E.AcceptIndex).second)
+        << "accept index excised twice: " << E.AcceptIndex;
+    EXPECT_LT(E.AcceptIndex, Out.Stats.Accepted);
+    EXPECT_NE(E.Kind, TrapKind::None);
+    EXPECT_FALSE(E.Error.empty());
+    EXPECT_FALSE(E.Source.empty());
+  }
+}
+
+} // namespace
 
 TEST(PipelineFaultTest, RefillExcisesFailuresAndMatchesFaultFreeRun) {
   FaultWorkload W = makeFaultWorkload(/*TargetKernels=*/6);
@@ -110,7 +189,7 @@ TEST(PipelineFaultTest, RefillIsWorkerCountInvariant) {
 
 TEST(PipelineFaultTest, StreamingLedgerRecordsAndReplays) {
   FaultWorkload W = makeFaultWorkload(/*TargetKernels=*/6);
-  ScratchDir Dir("stream_ledger");
+  ScratchDir Dir("clgen_fault_test_", "stream_ledger");
 
   // Run 1: cold cache + cold ledger. Deterministic failures (the
   // natural out-of-bounds traps) are recorded.
@@ -165,4 +244,85 @@ TEST(PipelineFaultTest, StreamingLedgerRecordsAndReplays) {
   EXPECT_EQ(FromLedger, Failures)
       << "every previously-recorded failure must be excised as a "
          "ledger negative hit, not re-measured";
+}
+
+TEST(PipelineFaultTest, RefillSurvivesFaultsAtEverySiteClass) {
+  FaultWorkload W = makeFaultWorkload(/*TargetKernels=*/40);
+  // The accept rate at this model configuration is ~0.06%, and the
+  // armed run below excises both the natural deterministic traps and up
+  // to 25 watchdog-killed stalls, so the budget must cover well past 90
+  // accepts for refill to reach the full target under every schedule.
+  W.Opts.Synthesis.MaxAttempts = 250000;
+  ScratchDir Dir("clgen_fault_test_", "acceptance");
+
+  // Fault-free refill reference first (also warms nothing: no stores).
+  StreamingOptions Clean = W.Opts;
+  Clean.RefillFailures = true;
+  StreamingResult Ref = W.Pipeline->synthesizeAndMeasure(W.P, Clean);
+  ASSERT_EQ(Ref.Kernels.size(), 40u);
+
+  // Armed run: every site class can fire — launch faults, stalls under
+  // a watchdog, payload faults, producer/consumer pipeline faults,
+  // store/ledger I/O faults and lock losses. The per-site fire cap
+  // guarantees the schedule eventually dries up, so refill MUST reach
+  // the full target.
+  support::FailPlan Plan;
+  Plan.Seed = 0xFA17;
+  Plan.Probability = 0.10;
+  Plan.MaxFiresPerSite = 25;
+  Plan.StallMs = 30;
+
+  store::ResultCache Cache(Dir.str() + "/results");
+  store::FailureLedger Ledger(Dir.str() + "/failures");
+  StreamingOptions Armed = W.Opts;
+  Armed.RefillFailures = true;
+  Armed.Cache = &Cache;
+  Armed.Ledger = &Ledger;
+  Armed.Driver.WatchdogMs = 10; // Stalled launches die as timeouts.
+  Armed.Driver.MaxRetries = 3;
+  Armed.MeasureWorkers = 4;
+  StreamingResult Out = [&] {
+    ArmedPlan Scope(Plan);
+    return W.Pipeline->synthesizeAndMeasure(W.P, Armed);
+  }();
+
+  expectRefillInvariants(Out);
+  EXPECT_EQ(Out.Kernels.size(), 40u)
+      << "the bounded fault schedule must not stop refill short";
+
+  // Surviving pairs are byte-identical to the fault-free run at the
+  // same accept indices — injection may excise, never perturb.
+  std::vector<size_t> Indices = survivorIndices(Out);
+  ASSERT_EQ(Indices.size(), Out.Kernels.size());
+  StreamingOptions Wide = W.Opts;
+  Wide.Synthesis.TargetKernels = Out.Stats.Accepted;
+  StreamingResult WideRef = W.Pipeline->synthesizeAndMeasure(W.P, Wide);
+  ASSERT_GE(WideRef.Kernels.size(), Out.Stats.Accepted);
+  for (size_t J = 0; J < Indices.size(); ++J) {
+    size_t I = Indices[J];
+    EXPECT_EQ(Out.Kernels[J].Source, WideRef.Kernels[I].Source);
+    EXPECT_EQ(measurementBytes(Out.Measurements[J]),
+              measurementBytes(WideRef.Measurements[I]))
+        << "accept index " << I << " diverged under injection";
+  }
+
+  // Excisions are classified, and every deterministic one that was
+  // actually measured this run is in the ledger — minus the records the
+  // armed ledger.write site deliberately dropped (ledger writes are
+  // best-effort by design; a lost record only costs a re-measurement).
+  EXPECT_GT(Out.Excised.size(), 0u) << "no faults landed; raise p";
+  size_t Deterministic = 0, Missing = 0;
+  for (const ExcisedKernel &E : Out.Excised) {
+    EXPECT_NE(E.Kind, TrapKind::None);
+    if (isDeterministicTrap(E.Kind) && !E.FromLedger) {
+      ++Deterministic;
+      if (!Ledger.lookup(E.Key).has_value())
+        ++Missing;
+    }
+  }
+  EXPECT_GT(Deterministic, 0u) << "no deterministic traps under injection";
+  EXPECT_LE(Missing, Ledger.stats().WriteFailures)
+      << "ledger entries missing beyond the injected write failures";
+  EXPECT_GT(Deterministic - Missing, 0u)
+      << "no classified record survived to the ledger";
 }

@@ -10,15 +10,11 @@
 //     and the Stable subset of the metrics exposition is byte-identical
 //     across identical runs.
 //
-// Everything here also runs in the CLGS_TELEMETRY=OFF tree (the
-// check_overhead fixture): assertions about recorded telemetry are
-// guarded on telemetryCompiledIn(); the invariance assertions hold
-// unconditionally.
-//
 //===----------------------------------------------------------------------===//
 
 #include "clgen/Pipeline.h"
 
+#include "../TestUtil.h"
 #include "githubsim/GithubSim.h"
 #include "store/FailureLedger.h"
 #include "store/ResultCache.h"
@@ -34,27 +30,9 @@
 
 using namespace clgen;
 using namespace clgen::core;
+using testutil::ScratchDir;
 
 namespace {
-
-/// Fresh per-test scratch directory, removed on destruction.
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Name)
-      : Path(std::filesystem::temp_directory_path() /
-             ("clgen_telemetry_test_" + Name)) {
-    std::filesystem::remove_all(Path);
-    std::filesystem::create_directories(Path);
-  }
-  ~ScratchDir() {
-    std::error_code Ec;
-    std::filesystem::remove_all(Path, Ec);
-  }
-  std::string str() const { return Path.string(); }
-
-private:
-  std::filesystem::path Path;
-};
 
 std::vector<uint8_t> measurementBytes(const Result<runtime::Measurement> &M) {
   store::ArchiveWriter W(store::ArchiveKind::Measurement);
@@ -119,17 +97,13 @@ TEST(PipelineTelemetryTest, TracingOnOffByteIdentity) {
   support::Trace::stop();
 
   expectSameOutput(Ref, Out);
-  if (support::telemetryCompiledIn()) {
-    EXPECT_GT(support::Trace::eventCount(), 0u)
-        << "the traced run must actually have recorded spans";
-  }
+  EXPECT_GT(support::Trace::eventCount(), 0u)
+      << "the traced run must actually have recorded spans";
 }
 
 TEST(PipelineTelemetryTest, TraceCoversEveryLifecycleStage) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "telemetry sites compiled out";
   Workload W = makeWorkload(/*TargetKernels=*/6);
-  ScratchDir Dir("lifecycle");
+  ScratchDir Dir("clgen_telemetry_test_", "lifecycle");
   store::ResultCache Cache(Dir.str() + "/results");
   store::FailureLedger Ledger(Dir.str() + "/failures");
   W.Opts.Cache = &Cache;
@@ -157,7 +131,7 @@ TEST(PipelineTelemetryTest, StableExpositionIsByteStableAcrossRuns) {
   Workload W = makeWorkload(/*TargetKernels=*/5);
 
   auto RunOnce = [&](const std::string &Tag) {
-    ScratchDir Dir("expo_" + Tag);
+    ScratchDir Dir("clgen_telemetry_test_", "expo_" + Tag);
     store::ResultCache Cache(Dir.str() + "/results");
     store::FailureLedger Ledger(Dir.str() + "/failures");
     StreamingOptions Opts = W.Opts;
@@ -174,25 +148,20 @@ TEST(PipelineTelemetryTest, StableExpositionIsByteStableAcrossRuns) {
   EXPECT_EQ(First, Second)
       << "the Stable metric subset must be a pure function of the "
          "workload";
-  if (support::telemetryCompiledIn()) {
-    EXPECT_NE(First.find("clgen.synthesis.accepted"), std::string::npos)
-        << First;
-    EXPECT_NE(First.find("clgen.measure.misses"), std::string::npos)
-        << First;
-    // Volatile timing metrics must not leak into the stable view.
-    EXPECT_EQ(First.find("clgen.driver.measure_us"), std::string::npos)
-        << First;
-  }
+  EXPECT_NE(First.find("clgen.synthesis.accepted"), std::string::npos)
+      << First;
+  EXPECT_NE(First.find("clgen.measure.misses"), std::string::npos) << First;
+  // Volatile timing metrics must not leak into the stable view.
+  EXPECT_EQ(First.find("clgen.driver.measure_us"), std::string::npos)
+      << First;
 }
 
 TEST(PipelineTelemetryTest, CacheCountersMirrorBatchTally) {
   // The unified clgen.measure.* counters: a cold run is all misses, a
   // warm rerun of the same store is all hits — and the registry deltas
   // must agree with the per-call BatchCacheStats.
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "telemetry sites compiled out";
   Workload W = makeWorkload(/*TargetKernels=*/5);
-  ScratchDir Dir("tally");
+  ScratchDir Dir("clgen_telemetry_test_", "tally");
   store::ResultCache Cache(Dir.str() + "/results");
   W.Opts.Cache = &Cache;
 

@@ -14,6 +14,8 @@
 
 #include "predict/Experiment.h"
 
+#include "../TestUtil.h"
+
 #include "gtest/gtest.h"
 
 #include <filesystem>
@@ -21,27 +23,9 @@
 
 using namespace clgen;
 using namespace clgen::predict;
+using testutil::ScratchDir;
 
 namespace {
-
-/// Fresh per-test scratch directory, removed on destruction.
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Name)
-      : Path(std::filesystem::temp_directory_path() /
-             ("clgen_experiment_test_" + Name)) {
-    std::filesystem::remove_all(Path);
-    std::filesystem::create_directories(Path);
-  }
-  ~ScratchDir() {
-    std::error_code Ec;
-    std::filesystem::remove_all(Path, Ec);
-  }
-  std::string str() const { return Path.string(); }
-
-private:
-  std::filesystem::path Path;
-};
 
 /// The smallest configuration that still exercises every stage: a tiny
 /// corpus, two real suites, a few synthetic kernels.
@@ -137,7 +121,7 @@ TEST(ExperimentTest, KeyTracksSemanticOptionsOnly) {
 }
 
 TEST(ExperimentTest, ColdRunThenWarmLoadIsByteIdenticalAndWorkFree) {
-  ScratchDir Dir("cold_warm");
+  ScratchDir Dir("clgen_experiment_test_", "cold_warm");
   ExperimentOptions Opts = tinyOptions();
 
   auto Cold = runOrLoadExperiment(Dir.str(), Opts);
@@ -161,13 +145,13 @@ TEST(ExperimentTest, ColdRunThenWarmLoadIsByteIdenticalAndWorkFree) {
 }
 
 TEST(ExperimentTest, LoadFailsOnColdStoreWithoutDoingWork) {
-  ScratchDir Dir("cold_probe");
+  ScratchDir Dir("clgen_experiment_test_", "cold_probe");
   auto Probe = loadExperiment(Dir.str(), tinyOptions());
   EXPECT_FALSE(Probe.ok());
 }
 
 TEST(ExperimentTest, CorruptArchiveDegradesToHonestMiss) {
-  ScratchDir Dir("corrupt");
+  ScratchDir Dir("clgen_experiment_test_", "corrupt");
   ExperimentOptions Opts = tinyOptions();
   auto Cold = runOrLoadExperiment(Dir.str(), Opts);
   ASSERT_TRUE(Cold.ok()) << Cold.errorMessage();

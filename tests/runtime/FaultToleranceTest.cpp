@@ -4,13 +4,14 @@
 // the measurement path: every rejection class maps to its TrapKind, the
 // wall-clock watchdog catches hangs the instruction budget cannot, the
 // opt-in div-by-zero trap changes kernel-visible semantics, and the
-// retry wrapper retries exactly the transient classes. The tests that
-// arm real failpoints are in tests/failpoints/FaultToleranceInjectionTest.cpp.
+// retry wrapper retries exactly the transient classes, both on natural
+// traps and on faults injected by armed failpoints.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/HostDriver.h"
 
+#include "../TestUtil.h"
 #include "support/Trap.h"
 #include "vm/Compiler.h"
 
@@ -18,6 +19,7 @@
 
 using namespace clgen;
 using namespace clgen::runtime;
+using testutil::ArmedPlan;
 
 namespace {
 
@@ -207,6 +209,56 @@ TEST(FaultToleranceTest, SuccessTakesOneAttempt) {
       amdPlatform(), smallOpts(), &Attempts);
   ASSERT_TRUE(M.ok()) << M.errorMessage();
   EXPECT_EQ(Attempts, 1u);
+}
+
+TEST(FaultToleranceTest, TransientInjectedFaultClearsOnRetry) {
+  // One guaranteed fire at the payload site, then the cap stops
+  // injection: attempt 1 fails transiently, attempt 2 measures.
+  support::FailPlan Plan;
+  Plan.Probability = 1.0;
+  Plan.MaxFiresPerSite = 1;
+  Plan.Sites = {"runtime.payload"};
+  vm::CompiledKernel K =
+      compile("__kernel void ok(__global float* a, const int n) {\n"
+              "  int i = get_global_id(0);\n"
+              "  if (i < n) { a[i] = a[i] + 1.0f; }\n"
+              "}\n");
+  uint32_t Attempts = 0;
+  {
+    ArmedPlan Armed(Plan);
+    auto M = runBenchmarkWithRetry(K, amdPlatform(), smallOpts(), &Attempts);
+    ASSERT_TRUE(M.ok()) << M.errorMessage();
+    EXPECT_EQ(Attempts, 2u);
+  }
+
+  // With retries disabled the same schedule is a hard failure.
+  ArmedPlan Armed(Plan);
+  DriverOptions NoRetry = smallOpts();
+  NoRetry.MaxRetries = 0;
+  auto Hard = runBenchmarkWithRetry(K, amdPlatform(), NoRetry, &Attempts);
+  ASSERT_FALSE(Hard.ok());
+  EXPECT_EQ(Hard.trap(), TrapKind::Injected);
+  EXPECT_EQ(Attempts, 1u);
+}
+
+TEST(FaultToleranceTest, InjectedStallTripsWatchdog) {
+  // The vm.stall site sleeps past the watchdog budget; the launch must
+  // come back classified as a timeout rather than wedging.
+  support::FailPlan Plan;
+  Plan.Probability = 1.0;
+  Plan.StallMs = 50;
+  Plan.Sites = {"vm.stall"};
+  ArmedPlan Armed(Plan);
+  DriverOptions Opts = smallOpts();
+  Opts.WatchdogMs = 10;
+  auto M = runBenchmark(
+      compile("__kernel void ok(__global float* a, const int n) {\n"
+              "  int i = get_global_id(0);\n"
+              "  if (i < n) { a[i] = a[i] + 1.0f; }\n"
+              "}\n"),
+      amdPlatform(), Opts);
+  ASSERT_FALSE(M.ok());
+  EXPECT_EQ(M.trap(), TrapKind::WatchdogTimeout);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include "gtest/gtest.h"
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -177,9 +178,21 @@ TEST(ServeProtocolTest, ValidateRequestRejectsZeroTarget) {
   Req.TargetKernels = 1;
   EXPECT_TRUE(validateRequest(Req).ok());
 
-  // Non-positive temperature is equally unservable.
-  Req.Temperature = 0.0;
-  EXPECT_FALSE(validateRequest(Req).ok());
-  Req.Temperature = -1.0;
-  EXPECT_FALSE(validateRequest(Req).ok());
+  // Non-positive or non-finite temperature is equally unservable.
+  for (double T : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    Req.Temperature = T;
+    EXPECT_FALSE(validateRequest(Req).ok()) << "temperature " << T;
+  }
+  Req.Temperature = 0.5;
+
+  // So is a target above the cap: its flight would never end.
+  Req.TargetKernels = MaxTargetKernels;
+  EXPECT_TRUE(validateRequest(Req).ok());
+  for (uint64_t Target : {MaxTargetKernels + 1, uint64_t(1) << 40}) {
+    Req.TargetKernels = Target;
+    Status Big = validateRequest(Req);
+    EXPECT_FALSE(Big.ok()) << "target " << Target;
+    EXPECT_NE(Big.errorMessage().find("usage error"), std::string::npos);
+  }
 }

@@ -15,6 +15,7 @@
 #include "serve/Client.h"
 #include "serve/Server.h"
 
+#include "../TestUtil.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -36,35 +38,15 @@
 
 using namespace clgen;
 using namespace clgen::serve;
+using testutil::ScratchDir;
 
 namespace fs = std::filesystem;
 
 namespace {
 
-/// Fresh per-test scratch directory, removed on destruction. Lives
-/// directly under /tmp so the socket path stays inside sun_path.
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Name)
-      : Path(fs::temp_directory_path() / ("clgen_serve_" + Name)) {
-    fs::remove_all(Path);
-    fs::create_directories(Path);
-  }
-  ~ScratchDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  std::string str() const { return Path.string(); }
-  std::string file(const std::string &Name) const {
-    return (Path / Name).string();
-  }
-
-private:
-  fs::path Path;
-};
-
 /// A small but real daemon configuration: tiny corpus, tiny requests,
-/// so a cold flight (train + sample + measure) stays test-sized.
+/// so a cold flight (train + sample + measure) stays test-sized. \p Dir
+/// lives directly under /tmp so the socket path stays inside sun_path.
 ServerConfig testConfig(const ScratchDir &Dir) {
   ServerConfig Cfg;
   Cfg.SocketPath = Dir.file("serve.sock");
@@ -104,7 +86,7 @@ TEST(ServeServerTest, RequestKeyCoversSemanticFieldsOnly) {
 }
 
 TEST(ServeServerTest, ColdThenWarmOverTheSocket) {
-  ScratchDir Dir("cold_warm");
+  ScratchDir Dir("clgen_serve_", "cold_warm");
   Server S(testConfig(Dir));
   ASSERT_TRUE(S.start().ok());
 
@@ -172,7 +154,7 @@ TEST(ServeServerTest, ConcurrentThreadClientsSampleExactlyOnce) {
   // compute. Proof: the global sampling counter advances by exactly a
   // single run's worth (measured against a solo reference daemon), the
   // model trains once, and every response is byte-identical.
-  ScratchDir RefDir("exactly_once_ref");
+  ScratchDir RefDir("clgen_serve_", "exactly_once_ref");
   uint64_t SoloDelta = 0;
   {
     Server Ref(testConfig(RefDir));
@@ -184,18 +166,9 @@ TEST(ServeServerTest, ConcurrentThreadClientsSampleExactlyOnce) {
     Ref.requestDrain();
     Ref.wait();
   }
-  // Telemetry can be compiled out (-DCLGS_TELEMETRY=OFF, the
-  // check_variants tree): the counter then reads 0 and the delta
-  // comparison below is vacuous — the ColdComputes==1 assertion still
-  // proves exactly-once through the server's own accounting.
-  const bool Telemetry =
-      support::MetricsRegistry::findCounter("clgen.synthesis.attempts") !=
-      nullptr;
-  if (Telemetry) {
-    ASSERT_GT(SoloDelta, 0u);
-  }
+  ASSERT_GT(SoloDelta, 0u);
 
-  ScratchDir Dir("exactly_once");
+  ScratchDir Dir("clgen_serve_", "exactly_once");
   Server S(testConfig(Dir));
   ASSERT_TRUE(S.start().ok());
 
@@ -244,7 +217,7 @@ TEST(ServeServerTest, ConcurrentForkClientsSampleExactlyOnce) {
   // children that all fire the identical request at once. Sampling
   // happens inside the daemon process, so the counter proof lives
   // there; children just report success and the response digest.
-  ScratchDir Dir("fork_clients");
+  ScratchDir Dir("clgen_serve_", "fork_clients");
   Server S(testConfig(Dir));
   ASSERT_TRUE(S.start().ok());
 
@@ -283,13 +256,8 @@ TEST(ServeServerTest, ConcurrentForkClientsSampleExactlyOnce) {
     EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0);
   }
 
-  // One cold run's sampling, shared by all four processes. (With
-  // telemetry compiled out the counter reads 0; ColdComputes below
-  // carries the exactly-once proof either way.)
-  uint64_t Delta = counterValue("clgen.synthesis.attempts") - Before;
-  if (support::MetricsRegistry::findCounter("clgen.synthesis.attempts")) {
-    EXPECT_GT(Delta, 0u);
-  }
+  // One cold run's sampling, shared by all four processes.
+  EXPECT_GT(counterValue("clgen.synthesis.attempts") - Before, 0u);
   ServerStats Stats = S.stats();
   EXPECT_EQ(Stats.TrainedModels, 1u);
   EXPECT_EQ(Stats.ColdComputes, 1u);
@@ -311,9 +279,10 @@ TEST(ServeServerTest, ConcurrentForkClientsSampleExactlyOnce) {
 
 TEST(ServeServerTest, ServerRejectsZeroTargetOnTheWire) {
   // Client::synthesize validates locally, so drive the raw socket:
-  // the SERVER must also reject target-0 (other client implementations
-  // exist) — with an error response, not an empty success.
-  ScratchDir Dir("target0");
+  // the SERVER must also reject target-0, a target above the cap and an
+  // infinite temperature (other client implementations exist) — with an
+  // error response, not an empty success or a flight that never ends.
+  ScratchDir Dir("clgen_serve_", "target0");
   Server S(testConfig(Dir));
   ASSERT_TRUE(S.start().ok());
 
@@ -330,20 +299,27 @@ TEST(ServeServerTest, ServerRejectsZeroTargetOnTheWire) {
 
   SynthesizeRequest Zero;
   Zero.TargetKernels = 0;
-  ASSERT_TRUE(writeFrame(Fd, encodeSynthesizeRequest(Zero)).ok());
-  auto Raw = readFrame(Fd);
-  ASSERT_TRUE(Raw.ok()) << Raw.errorMessage();
-  auto Parsed = parseFrame(Raw.get());
-  ASSERT_TRUE(Parsed.ok()) << Parsed.errorMessage();
-  EXPECT_EQ(Parsed.get().Type, MessageType::ErrorResponse);
-  EXPECT_NE(Parsed.get().Text.find("usage error"), std::string::npos)
-      << Parsed.get().Text;
+  SynthesizeRequest Huge = testRequest();
+  Huge.TargetKernels = uint64_t(1) << 40;
+  SynthesizeRequest Hot = testRequest();
+  Hot.Temperature = std::numeric_limits<double>::infinity();
+  // An invalid request keeps the connection open, so all three share it.
+  for (const SynthesizeRequest &Bad : {Zero, Huge, Hot}) {
+    ASSERT_TRUE(writeFrame(Fd, encodeSynthesizeRequest(Bad)).ok());
+    auto Raw = readFrame(Fd);
+    ASSERT_TRUE(Raw.ok()) << Raw.errorMessage();
+    auto Parsed = parseFrame(Raw.get());
+    ASSERT_TRUE(Parsed.ok()) << Parsed.errorMessage();
+    EXPECT_EQ(Parsed.get().Type, MessageType::ErrorResponse);
+    EXPECT_NE(Parsed.get().Text.find("usage error"), std::string::npos)
+        << Parsed.get().Text;
+  }
   ::close(Fd);
 
   // And the direct in-process entry point agrees.
   auto Direct = S.synthesize(Zero);
   EXPECT_FALSE(Direct.ok());
-  EXPECT_GE(S.stats().InvalidRequests, 2u);
+  EXPECT_GE(S.stats().InvalidRequests, 4u);
   EXPECT_EQ(S.stats().ColdComputes, 0u);
 
   S.requestDrain();
@@ -351,7 +327,7 @@ TEST(ServeServerTest, ServerRejectsZeroTargetOnTheWire) {
 }
 
 TEST(ServeServerTest, MalformedFrameGetsErrorResponseAndDrop) {
-  ScratchDir Dir("malformed");
+  ScratchDir Dir("clgen_serve_", "malformed");
   Server S(testConfig(Dir));
   ASSERT_TRUE(S.start().ok());
 
@@ -390,7 +366,7 @@ TEST(ServeServerTest, MalformedFrameGetsErrorResponseAndDrop) {
 #endif // !_WIN32
 
 TEST(ServeServerTest, DrainLetsInFlightRequestsFinish) {
-  ScratchDir Dir("drain");
+  ScratchDir Dir("clgen_serve_", "drain");
   Server S(testConfig(Dir));
   ASSERT_TRUE(S.start().ok());
 
@@ -427,7 +403,7 @@ TEST(ServeServerTest, DrainLetsInFlightRequestsFinish) {
 }
 
 TEST(ServeServerTest, ShutdownRequestDrainsTheDaemon) {
-  ScratchDir Dir("shutdown_req");
+  ScratchDir Dir("clgen_serve_", "shutdown_req");
   Server S(testConfig(Dir));
   ASSERT_TRUE(S.start().ok());
 
@@ -448,7 +424,7 @@ TEST(ServeServerTest, ShutdownRequestDrainsTheDaemon) {
 }
 
 TEST(ServeServerTest, BackgroundSweeperRunsAndReports) {
-  ScratchDir Dir("sweeper");
+  ScratchDir Dir("clgen_serve_", "sweeper");
   ServerConfig Cfg = testConfig(Dir);
   Cfg.SweepIntervalMs = 20;
   Cfg.SweepBudgetBytes = 0; // Validate/quarantine only: evict nothing.
@@ -479,7 +455,7 @@ TEST(ServeServerTest, BackgroundSweeperRunsAndReports) {
 }
 
 TEST(ServeServerTest, RenderStatsIsKeyValueLines) {
-  ScratchDir Dir("render");
+  ScratchDir Dir("clgen_serve_", "render");
   Server S(testConfig(Dir));
   ASSERT_TRUE(S.start().ok());
   std::string Text = S.renderStats();
@@ -508,7 +484,7 @@ TEST(ServeServerTest, ConcurrentColdSeedsMatchSoloRuns) {
 
   SynthesizeResponse Solo[2];
   {
-    ScratchDir RefDir("solo_seeds");
+    ScratchDir RefDir("clgen_serve_", "solo_seeds");
     Server Ref(testConfig(RefDir));
     ASSERT_TRUE(Ref.start().ok());
     for (int I = 0; I < 2; ++I) {
@@ -521,7 +497,7 @@ TEST(ServeServerTest, ConcurrentColdSeedsMatchSoloRuns) {
   }
   ASSERT_NE(Solo[0].KernelSetDigest, Solo[1].KernelSetDigest);
 
-  ScratchDir Dir("concurrent_seeds");
+  ScratchDir Dir("clgen_serve_", "concurrent_seeds");
   Server S(testConfig(Dir));
   ASSERT_TRUE(S.start().ok());
   // Train the model first, so both flights below sample it together.

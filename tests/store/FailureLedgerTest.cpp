@@ -10,6 +10,7 @@
 
 #include "store/FailureLedger.h"
 
+#include "../TestUtil.h"
 #include "support/Trap.h"
 
 #include <gtest/gtest.h>
@@ -19,28 +20,9 @@
 
 using namespace clgen;
 using namespace clgen::store;
+using testutil::ScratchDir;
 
 namespace {
-
-/// Fresh per-test scratch directory, removed on destruction.
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Name)
-      : Path(std::filesystem::temp_directory_path() /
-             ("clgen_ledger_test_" + Name)) {
-    std::filesystem::remove_all(Path);
-    std::filesystem::create_directories(Path);
-  }
-  ~ScratchDir() {
-    std::error_code Ec;
-    std::filesystem::remove_all(Path, Ec);
-  }
-  std::string str() const { return Path.string(); }
-  std::filesystem::path path() const { return Path; }
-
-private:
-  std::filesystem::path Path;
-};
 
 FailureRecord record(TrapKind Kind, const std::string &Detail,
                      uint32_t Attempts = 1) {
@@ -52,7 +34,7 @@ FailureRecord record(TrapKind Kind, const std::string &Detail,
 }
 
 TEST(FailureLedgerTest, RecordLookupRoundTrip) {
-  ScratchDir Dir("roundtrip");
+  ScratchDir Dir("clgen_ledger_test_", "roundtrip");
   FailureLedger Ledger(Dir.str());
   ASSERT_TRUE(Ledger.directoryOk());
 
@@ -81,7 +63,7 @@ TEST(FailureLedgerTest, RecordLookupRoundTrip) {
 }
 
 TEST(FailureLedgerTest, RefusesNonDeterministicKinds) {
-  ScratchDir Dir("policy");
+  ScratchDir Dir("clgen_ledger_test_", "policy");
   FailureLedger Ledger(Dir.str());
   // Transient and environment-dependent classes must never be persisted:
   // they would wrongly poison future runs.
@@ -111,7 +93,7 @@ TEST(FailureLedgerTest, RefusesNonDeterministicKinds) {
 }
 
 TEST(FailureLedgerTest, CorruptEntryDegradesToMiss) {
-  ScratchDir Dir("corrupt");
+  ScratchDir Dir("clgen_ledger_test_", "corrupt");
   FailureLedger Ledger(Dir.str());
   ASSERT_TRUE(
       Ledger.record(9, record(TrapKind::DivByZero, "div by zero")).ok());
@@ -137,7 +119,7 @@ TEST(FailureLedgerTest, CorruptEntryDegradesToMiss) {
 }
 
 TEST(FailureLedgerTest, UncreatableDirectoryDegrades) {
-  ScratchDir Dir("nodir");
+  ScratchDir Dir("clgen_ledger_test_", "nodir");
   // A regular file where the directory should be: directoryOk false,
   // lookups miss, records fail visibly — no crash, no silent success.
   std::string FilePath = Dir.str() + "/blocked";
@@ -150,7 +132,7 @@ TEST(FailureLedgerTest, UncreatableDirectoryDegrades) {
 }
 
 TEST(FailureLedgerTest, ListAndFormatAreByteStable) {
-  ScratchDir Dir("listing");
+  ScratchDir Dir("clgen_ledger_test_", "listing");
   FailureLedger Ledger(Dir.str());
   ASSERT_TRUE(
       Ledger.record(2, record(TrapKind::DivByZero, "lane 3 divides by 0", 1))

@@ -18,6 +18,7 @@
 
 #include "store/Lifecycle.h"
 
+#include "../TestUtil.h"
 #include "store/Archive.h"
 #include "store/Lock.h"
 #include "store/ResultCache.h"
@@ -34,31 +35,11 @@
 
 using namespace clgen;
 using namespace clgen::store;
+using testutil::ScratchDir;
 
 namespace fs = std::filesystem;
 
 namespace {
-
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Name)
-      : Path(fs::temp_directory_path() /
-             ("clgen_lifecycle_test_" + Name)) {
-    fs::remove_all(Path);
-    fs::create_directories(Path);
-  }
-  ~ScratchDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  std::string file(const std::string &Name) const {
-    return (Path / Name).string();
-  }
-  std::string str() const { return Path.string(); }
-
-private:
-  fs::path Path;
-};
 
 std::vector<uint8_t> loadBytes(const std::string &Path) {
   std::vector<uint8_t> Bytes;
@@ -135,7 +116,7 @@ snapshotEntries(const std::string &Dir) {
 //===----------------------------------------------------------------------===//
 
 TEST(LifecycleTest, ScanFindsEntriesSortedAndSkipsNoise) {
-  ScratchDir Dir("scan");
+  ScratchDir Dir("clgen_lifecycle_test_", "scan");
   SeededStore S = seedStore(Dir.str());
   // A manifest and quarantined files must not show up as entries.
   SweepPolicy P;
@@ -165,7 +146,7 @@ TEST(LifecycleTest, ScanFailsOnMissingDirectory) {
 //===----------------------------------------------------------------------===//
 
 TEST(LifecycleTest, SweepEvictsLruDownToByteBudgetAndKeepsBytesIdentical) {
-  ScratchDir Dir("budget");
+  ScratchDir Dir("clgen_lifecycle_test_", "budget");
   SeededStore S = seedStore(Dir.str());
   auto Before = snapshotEntries(Dir.str());
   uint64_t Total = 0;
@@ -209,7 +190,7 @@ TEST(LifecycleTest, SweepEvictsLruDownToByteBudgetAndKeepsBytesIdentical) {
 }
 
 TEST(LifecycleTest, SweepWithoutBudgetEvictsNothing) {
-  ScratchDir Dir("nobudget");
+  ScratchDir Dir("clgen_lifecycle_test_", "nobudget");
   seedStore(Dir.str());
   auto Before = snapshotEntries(Dir.str());
   SweepPolicy P; // MaxBytes = 0: validate + quarantine only.
@@ -221,7 +202,7 @@ TEST(LifecycleTest, SweepWithoutBudgetEvictsNothing) {
 }
 
 TEST(LifecycleTest, SweepDryRunPlansButTouchesNothing) {
-  ScratchDir Dir("dryrun");
+  ScratchDir Dir("clgen_lifecycle_test_", "dryrun");
   seedStore(Dir.str());
   // Corrupt one entry so the plan includes a quarantine too.
   auto Bytes = loadBytes(Dir.file("e1.clgs"));
@@ -245,7 +226,7 @@ TEST(LifecycleTest, SweepDryRunPlansButTouchesNothing) {
 }
 
 TEST(LifecycleTest, SweepQuarantinesCorruptEntriesWithBytesPreserved) {
-  ScratchDir Dir("quarantine");
+  ScratchDir Dir("clgen_lifecycle_test_", "quarantine");
   seedStore(Dir.str());
   auto Corrupted = loadBytes(Dir.file("results/e3.clgs"));
   Corrupted[25] ^= 0xFF; // Payload byte: checksum mismatch.
@@ -299,7 +280,7 @@ TEST(LifecycleTest, SweepInterruptedAtEveryKillPointLeavesReadableStore) {
   SweepPolicy Budgeted;
   Budgeted.MaxBytes = 650; // Forces LRU evictions on top of quarantine.
   {
-    ScratchDir Ref("killpoints_ref");
+    ScratchDir Ref("clgen_lifecycle_test_", "killpoints_ref");
     Seed(Ref.str());
     SweepPolicy Recording = Budgeted;
     Recording.KillSwitch = [&Stages](const std::string &Stage) {
@@ -330,7 +311,8 @@ TEST(LifecycleTest, SweepInterruptedAtEveryKillPointLeavesReadableStore) {
   // Crash at every stage, then assert the store survived and a re-run
   // converges to the reference final state.
   for (size_t Kill = 0; Kill < Stages.size(); ++Kill) {
-    ScratchDir Dir("killpoints_" + std::to_string(Kill));
+    ScratchDir Dir("clgen_lifecycle_test_",
+                   "killpoints_" + std::to_string(Kill));
     Seed(Dir.str());
     auto PreCrash = snapshotEntries(Dir.str());
 
@@ -380,7 +362,7 @@ TEST(LifecycleTest, SweepInterruptedAtEveryKillPointLeavesReadableStore) {
 //===----------------------------------------------------------------------===//
 
 TEST(LifecycleTest, ManifestEveryByteFlipAndTruncationIsDetected) {
-  ScratchDir Dir("manifest_fuzz");
+  ScratchDir Dir("clgen_lifecycle_test_", "manifest_fuzz");
   seedStore(Dir.str());
   SweepPolicy P;
   ASSERT_TRUE(sweep(Dir.str(), P).ok());
@@ -411,7 +393,7 @@ TEST(LifecycleTest, ManifestEveryByteFlipAndTruncationIsDetected) {
 }
 
 TEST(LifecycleTest, EntryEveryByteFlipAndTruncationIsDetected) {
-  ScratchDir Dir("entry_fuzz");
+  ScratchDir Dir("clgen_lifecycle_test_", "entry_fuzz");
   seedEntry(Dir.file("entry.clgs"), 0, 64);
   std::string Path = Dir.file("entry.clgs");
   std::vector<uint8_t> Good = loadBytes(Path);
@@ -437,7 +419,8 @@ TEST(LifecycleTest, EntryEveryByteFlipAndTruncationIsDetected) {
   // And gc quarantines (never deletes) what verify flags: sample a
   // handful of corruptions through the full sweep path.
   for (size_t I = 0; I < Good.size(); I += 13) {
-    ScratchDir Sub("entry_fuzz_gc_" + std::to_string(I));
+    ScratchDir Sub("clgen_lifecycle_test_",
+                   "entry_fuzz_gc_" + std::to_string(I));
     seedStore(Sub.str());
     std::vector<uint8_t> Bad = Good;
     Bad[I] ^= 0xFF;
@@ -457,7 +440,7 @@ TEST(LifecycleTest, HeldLockDoesNotShieldCorruptEntryFromQuarantine) {
   // "Locked" state is advisory and lives in locks/, never on entries:
   // a corrupt entry is quarantined even while a writer holds the
   // store's locks, and the lock files themselves are never scanned.
-  ScratchDir Dir("locked_fuzz");
+  ScratchDir Dir("clgen_lifecycle_test_", "locked_fuzz");
   seedStore(Dir.str());
   auto Held = ScopedLock::acquire(lockFilePath(Dir.str(), "train", 42));
   ASSERT_TRUE(Held.ok());
@@ -480,7 +463,7 @@ TEST(LifecycleTest, HeldLockDoesNotShieldCorruptEntryFromQuarantine) {
 //===----------------------------------------------------------------------===//
 
 TEST(LifecycleTest, ScopedLockExcludesAndReleases) {
-  ScratchDir Dir("locks");
+  ScratchDir Dir("clgen_lifecycle_test_", "locks");
   std::string Path = lockFilePath(Dir.str(), "train", 7);
 
   auto First = ScopedLock::tryAcquire(Path);
@@ -513,7 +496,7 @@ TEST(LifecycleTest, LockAcquireFailsFastWhenLockFileIsUnopenable) {
   // as on a read-only store) is a permanent failure, not contention —
   // acquire must fail immediately instead of polling out its timeout,
   // or every cold miss on such a store would hang for the full wait.
-  ScratchDir Dir("lock_unopenable");
+  ScratchDir Dir("clgen_lifecycle_test_", "lock_unopenable");
   storeBytes(Dir.file("blocker"), {1});
   std::string Path = Dir.file("blocker") + "/locks/train-00.lock";
   auto Start = std::chrono::steady_clock::now();
@@ -527,7 +510,7 @@ TEST(LifecycleTest, LockAcquireFailsFastWhenLockFileIsUnopenable) {
 }
 
 TEST(LifecycleTest, ScopedLockMoveTransfersOwnership) {
-  ScratchDir Dir("lock_move");
+  ScratchDir Dir("clgen_lifecycle_test_", "lock_move");
   std::string Path = lockFilePath(Dir.str(), "synthesis", 1);
   auto R = ScopedLock::tryAcquire(Path);
   ASSERT_TRUE(R.ok());
@@ -551,7 +534,7 @@ TEST(LifecycleTest, ResultCacheDropsMemoryEntriesEvictedByExternalSweep) {
   // external `store::sweep`/`clgen-store gc` had already evicted on
   // disk, so a long-lived process reported hits for artifacts the
   // store no longer held.
-  ScratchDir Dir("cache_sweep");
+  ScratchDir Dir("clgen_lifecycle_test_", "cache_sweep");
   ResultCache Cache(Dir.str());
   runtime::Measurement M;
   M.CpuTime = 0.25;
@@ -583,7 +566,7 @@ TEST(LifecycleTest, ResultCacheMemoryOnlyEntriesSurviveWithoutDiskBacking) {
   // from revalidation: the memory front still works, exactly the
   // pre-lifecycle degradation contract. An uncreatable directory even
   // for root: its parent path is a regular file.
-  ScratchDir Dir("cache_memonly");
+  ScratchDir Dir("clgen_lifecycle_test_", "cache_memonly");
   storeBytes(Dir.file("blocker"), {1});
   ResultCache Cache(Dir.file("blocker") + "/cache");
   ASSERT_FALSE(Cache.directoryOk());
@@ -631,7 +614,8 @@ TEST(LifecycleTest, CliOutputIsByteStableAcrossRuns) {
   // Two independently seeded, identical stores must render identical
   // bytes on every surface: no timestamps, no absolute paths, no
   // iteration-order leakage.
-  ScratchDir A("golden_a"), B("golden_b");
+  ScratchDir A("clgen_lifecycle_test_", "golden_a");
+  ScratchDir B("clgen_lifecycle_test_", "golden_b");
   seedStore(A.str());
   seedStore(B.str());
   CliSurfaces SA = renderCli(A.str(), 700);
@@ -668,7 +652,7 @@ TEST(LifecycleTest, CliOutputIsByteStableAcrossRuns) {
 //===----------------------------------------------------------------------===//
 
 TEST(LifecycleTest, VacuumPurgesQuarantineTempAndLocksButNeverEntries) {
-  ScratchDir Dir("vacuum");
+  ScratchDir Dir("clgen_lifecycle_test_", "vacuum");
   seedStore(Dir.str());
   auto Before = snapshotEntries(Dir.str());
   // Park one corrupt file, leave a stale temp and a lock file around.
@@ -700,7 +684,7 @@ TEST(LifecycleTest, VacuumSkipsHeldLocks) {
   // (reported, not deleted), so a racing acquirer can never flock a
   // fresh inode alongside the live holder. Free locks are still
   // pruned in the same pass.
-  ScratchDir Dir("vacuum_live");
+  ScratchDir Dir("clgen_lifecycle_test_", "vacuum_live");
   std::string HeldPath = lockFilePath(Dir.str(), "synthesis", 1);
   std::string FreePath = lockFilePath(Dir.str(), "synthesis", 2);
   auto Holder = ScopedLock::tryAcquire(HeldPath);

@@ -10,6 +10,7 @@
 #include "store/ResultCache.h"
 #include "store/Serialization.h"
 
+#include "../TestUtil.h"
 #include "clgen/Pipeline.h"
 #include "corpus/Corpus.h"
 #include "githubsim/GithubSim.h"
@@ -32,30 +33,9 @@
 
 using namespace clgen;
 using namespace clgen::store;
+using testutil::ScratchDir;
 
 namespace {
-
-/// Fresh per-test scratch directory, removed on destruction.
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Name)
-      : Path(std::filesystem::temp_directory_path() /
-             ("clgen_store_test_" + Name)) {
-    std::filesystem::remove_all(Path);
-    std::filesystem::create_directories(Path);
-  }
-  ~ScratchDir() {
-    std::error_code Ec;
-    std::filesystem::remove_all(Path, Ec);
-  }
-  std::string file(const std::string &Name) const {
-    return (Path / Name).string();
-  }
-  std::string str() const { return Path.string(); }
-
-private:
-  std::filesystem::path Path;
-};
 
 std::vector<uint8_t> loadBytes(const std::string &Path) {
   std::vector<uint8_t> Bytes;
@@ -236,7 +216,7 @@ TEST(ArchiveTest, CorruptLengthFieldDoesNotAllocate) {
 }
 
 TEST(ArchiveTest, SaveToIsAtomicAndLeavesNoTempFiles) {
-  ScratchDir Dir("archive_atomic");
+  ScratchDir Dir("clgen_store_test_", "archive_atomic");
   ArchiveWriter W(ArchiveKind::Corpus);
   W.writeString("payload");
   ASSERT_TRUE(W.saveTo(Dir.file("a.clgs")).ok());
@@ -271,7 +251,7 @@ TEST(SerializationTest, NGramRandomizedRoundTripBitIdentical) {
     Rng R(Seeds.next());
     M.train({randomText(R, 400), randomText(R, 200), randomText(R, 50)});
 
-    ScratchDir Dir("ngram_rt_" + std::to_string(Round));
+    ScratchDir Dir("clgen_store_test_", "ngram_rt_" + std::to_string(Round));
     ASSERT_TRUE(saveModel(Dir.file("m.clgs"), M).ok());
     auto Loaded = loadModel(Dir.file("m.clgs"));
     ASSERT_TRUE(Loaded.ok()) << Loaded.errorMessage();
@@ -294,7 +274,7 @@ TEST(SerializationTest, LstmRandomizedRoundTripBitIdentical) {
     Rng R(Seeds.next());
     M.train({randomText(R, 300)});
 
-    ScratchDir Dir("lstm_rt_" + std::to_string(Round));
+    ScratchDir Dir("clgen_store_test_", "lstm_rt_" + std::to_string(Round));
     ASSERT_TRUE(saveModel(Dir.file("m.clgs"), M).ok());
     auto Loaded = loadModel(Dir.file("m.clgs"));
     ASSERT_TRUE(Loaded.ok()) << Loaded.errorMessage();
@@ -320,7 +300,7 @@ TEST(SerializationTest, EqualNGramModelsSerializeByteIdentically) {
 TEST(SerializationTest, ModelArchiveCorruptionFailsLoudly) {
   model::NGramModel M;
   M.train({"abcabcabc"});
-  ScratchDir Dir("model_corrupt");
+  ScratchDir Dir("clgen_store_test_", "model_corrupt");
   ASSERT_TRUE(saveModel(Dir.file("m.clgs"), M).ok());
 
   auto Bytes = loadBytes(Dir.file("m.clgs"));
@@ -340,7 +320,7 @@ TEST(SerializationTest, ModelArchiveCorruptionFailsLoudly) {
 TEST(SerializationTest, ModelArchiveRejectsUnknownBackendTag) {
   ArchiveWriter W(ArchiveKind::Model);
   W.writeString("transformer");
-  ScratchDir Dir("model_tag");
+  ScratchDir Dir("clgen_store_test_", "model_tag");
   ASSERT_TRUE(W.saveTo(Dir.file("m.clgs")).ok());
   auto R = loadModel(Dir.file("m.clgs"));
   ASSERT_FALSE(R.ok());
@@ -553,7 +533,7 @@ TEST(SerializationTest, CorpusSnapshotRoundTrip) {
   corpus::Corpus C = corpus::buildCorpus(githubsim::mineGithub(GOpts));
   ASSERT_FALSE(C.Entries.empty());
 
-  ScratchDir Dir("corpus_rt");
+  ScratchDir Dir("clgen_store_test_", "corpus_rt");
   ASSERT_TRUE(saveCorpus(Dir.file("c.clgs"), C).ok());
   auto Loaded = loadCorpus(Dir.file("c.clgs"));
   ASSERT_TRUE(Loaded.ok()) << Loaded.errorMessage();
@@ -625,7 +605,7 @@ TEST(SynthesizeOrLoadTest, WarmSynthesisIsBitIdentical) {
   SOpts.TargetKernels = 4;
   SOpts.MaxAttempts = 2000;
 
-  ScratchDir Dir("synth_cache");
+  ScratchDir Dir("clgen_store_test_", "synth_cache");
   bool ColdLoaded = true, WarmLoaded = false;
   auto Cold = Pipeline.synthesizeOrLoad(Dir.str(), SOpts, &ColdLoaded);
   EXPECT_FALSE(ColdLoaded);
@@ -688,7 +668,7 @@ TEST(ResultCacheTest, KeySensitivity) {
 }
 
 TEST(ResultCacheTest, StoreLookupRoundTripAcrossInstances) {
-  ScratchDir Dir("cache_rt");
+  ScratchDir Dir("clgen_store_test_", "cache_rt");
   auto K = compileSample("a[i] = a[i] * 3.0f;");
   runtime::DriverOptions Opts;
   Opts.GlobalSize = 512;
@@ -723,7 +703,7 @@ TEST(ResultCacheTest, StoreLookupRoundTripAcrossInstances) {
 }
 
 TEST(ResultCacheTest, CorruptEntryIsAMissNotACrash) {
-  ScratchDir Dir("cache_corrupt");
+  ScratchDir Dir("clgen_store_test_", "cache_corrupt");
   ResultCache Cache(Dir.str());
   auto K = compileSample("a[i] = -a[i];");
   runtime::DriverOptions Opts;
@@ -751,7 +731,7 @@ TEST(ResultCacheTest, CoarseMtimeRewriteIsCaughtByTrailerChecksum) {
   // serve the pre-rewrite measurement forever. The fix records the
   // archive's trailer checksum whenever the backing mtime is
   // whole-second and re-reads those 8 bytes on every memory hit.
-  ScratchDir Dir("cache_coarse");
+  ScratchDir Dir("clgen_store_test_", "cache_coarse");
   const uint64_t Key = 0xC0A53E;
   runtime::Measurement M1;
   M1.CpuTime = 1.5;
@@ -813,7 +793,7 @@ TEST(ResultCacheTest, ConcurrentHitsAreConsistentAndAllCounted) {
   // complete entry and every lookup must be tallied. Run against a
   // fresh instance too, so first-touch disk loads (map inserts) race
   // with resident-entry reads.
-  ScratchDir Dir("cache_concurrent");
+  ScratchDir Dir("clgen_store_test_", "cache_concurrent");
   constexpr size_t KeyCount = 16;
   constexpr size_t ThreadCount = 8;
   constexpr size_t Rounds = 50;
@@ -897,7 +877,7 @@ TEST(TrainOrLoadTest, WarmStartIsBitIdenticalToColdTraining) {
   core::PipelineOptions POpts;
   POpts.NGram.Order = 8;
 
-  ScratchDir Dir("warm_start");
+  ScratchDir Dir("clgen_store_test_", "warm_start");
   core::TrainOrLoadInfo Cold, Warm;
   auto First = core::ClgenPipeline::trainOrLoad(Dir.str(), Files, POpts,
                                                 &Cold);
@@ -946,7 +926,7 @@ TEST(TrainOrLoadTest, CorruptStoredModelRetrainsInsteadOfFailing) {
   auto Files = githubsim::mineGithub(GOpts);
   core::PipelineOptions POpts;
 
-  ScratchDir Dir("warm_corrupt");
+  ScratchDir Dir("clgen_store_test_", "warm_corrupt");
   core::TrainOrLoadInfo Info;
   ASSERT_TRUE(core::ClgenPipeline::trainOrLoad(Dir.str(), Files, POpts,
                                                &Info)

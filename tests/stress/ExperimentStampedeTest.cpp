@@ -13,6 +13,8 @@
 
 #include "predict/Experiment.h"
 
+#include "../TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,28 +27,11 @@
 
 using namespace clgen;
 using namespace clgen::predict;
+using testutil::ScratchDir;
 
 namespace fs = std::filesystem;
 
 namespace {
-
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Name)
-      : Path(fs::temp_directory_path() /
-             ("clgen_experiment_stampede_" + Name)) {
-    fs::remove_all(Path);
-    fs::create_directories(Path);
-  }
-  ~ScratchDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  std::string str() const { return Path.string(); }
-
-private:
-  fs::path Path;
-};
 
 /// Start barrier: racers block until every thread is staged, so the
 /// cold fast-path probes genuinely overlap.
@@ -92,7 +77,7 @@ ExperimentOptions stampedeOptions() {
 } // namespace
 
 TEST(ExperimentStampedeTest, ColdStampedeComputesExactlyOnce) {
-  ScratchDir Dir("cold");
+  ScratchDir Dir("clgen_experiment_stampede_", "cold");
   ExperimentOptions Opts = stampedeOptions();
   constexpr size_t Racers = 4;
 
@@ -135,7 +120,7 @@ TEST(ExperimentStampedeTest, ColdStampedeComputesExactlyOnce) {
 }
 
 TEST(ExperimentStampedeTest, WarmStampedeNeverTouchesLocksOrRecomputes) {
-  ScratchDir Dir("warm");
+  ScratchDir Dir("clgen_experiment_stampede_", "warm");
   ExperimentOptions Opts = stampedeOptions();
   auto Prime = runOrLoadExperiment(Dir.str(), Opts);
   ASSERT_TRUE(Prime.ok()) << Prime.errorMessage();

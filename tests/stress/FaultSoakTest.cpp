@@ -8,8 +8,7 @@
 // refill accounting is exactly-once, surviving measurements all
 // succeeded, and the store directory never holds a torn entry (every
 // file is either a structurally-sound archive or an in-flight temp
-// file). Builds into clgen_failpoint_stress_tests, which links a library
-// with the sites compiled in, so every tree runs the armed schedules.
+// file).
 //
 // Registered under the ctest label "stress"; the sanitizer matrix runs
 // it via `ctest -L stress` in -DCLGS_SANITIZE trees, which is what
@@ -19,11 +18,11 @@
 
 #include "clgen/Pipeline.h"
 
+#include "../TestUtil.h"
 #include "githubsim/GithubSim.h"
 #include "store/Archive.h"
 #include "store/FailureLedger.h"
 #include "store/ResultCache.h"
-#include "support/FailPoint.h"
 
 #include <gtest/gtest.h>
 
@@ -32,27 +31,10 @@
 
 using namespace clgen;
 using namespace clgen::core;
+using testutil::ArmedPlan;
+using testutil::ScratchDir;
 
 namespace {
-
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Name)
-      : Path(std::filesystem::temp_directory_path() /
-             ("clgen_fault_soak_" + Name)) {
-    std::filesystem::remove_all(Path);
-    std::filesystem::create_directories(Path);
-  }
-  ~ScratchDir() {
-    std::error_code Ec;
-    std::filesystem::remove_all(Path, Ec);
-  }
-  std::string str() const { return Path.string(); }
-  std::filesystem::path path() const { return Path; }
-
-private:
-  std::filesystem::path Path;
-};
 
 /// Every persisted file must be whole: a structurally-sound archive
 /// (magic, version, checksum) or a leftover atomic-rename temp. A file
@@ -95,9 +77,7 @@ TEST(FaultSoakTest, RandomizedSchedulesNeverHangOrTearTheStore) {
   POpts.NGram.Order = 8;
   ClgenPipeline Pipeline = ClgenPipeline::train(Files, POpts);
 
-  ASSERT_TRUE(support::FailPoints::sitesCompiledIn())
-      << "clgen_failpoint_stress_tests must link a library with the sites in";
-  ScratchDir Dir("injected");
+  ScratchDir Dir("clgen_fault_soak_", "injected");
 
   StreamingOptions Base;
   // Target 8 spans several natural deterministic out-of-bounds traps in
@@ -120,7 +100,6 @@ TEST(FaultSoakTest, RandomizedSchedulesNeverHangOrTearTheStore) {
     Plan.Probability = Round % 2 ? 0.25 : 0.08;
     Plan.MaxFiresPerSite = 40;
     Plan.StallMs = 20;
-    support::FailPoints::arm(Plan);
 
     store::ResultCache Cache(Dir.str() + "/results");
     store::FailureLedger Ledger(Dir.str() + "/failures");
@@ -129,9 +108,10 @@ TEST(FaultSoakTest, RandomizedSchedulesNeverHangOrTearTheStore) {
     Opts.Ledger = &Ledger;
     Opts.Driver.WatchdogMs = 10;
 
-    StreamingResult Out =
-        Pipeline.synthesizeAndMeasure(runtime::amdPlatform(), Opts);
-    support::FailPoints::disarm();
+    StreamingResult Out = [&] {
+      ArmedPlan Armed(Plan);
+      return Pipeline.synthesizeAndMeasure(runtime::amdPlatform(), Opts);
+    }();
 
     expectExactlyOnceAccounting(Out);
     EXPECT_EQ(Out.Kernels.size(), Base.Synthesis.TargetKernels)

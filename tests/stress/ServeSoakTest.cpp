@@ -20,6 +20,8 @@
 #include "serve/Client.h"
 #include "serve/Server.h"
 
+#include "../TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,35 +34,16 @@
 
 using namespace clgen;
 using namespace clgen::serve;
+using testutil::ScratchDir;
 
 namespace fs = std::filesystem;
 
 namespace {
 
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Name)
-      : Path(fs::temp_directory_path() / ("clgen_serve_soak_" + Name)) {
-    fs::remove_all(Path);
-    fs::create_directories(Path);
-  }
-  ~ScratchDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  std::string str() const { return Path.string(); }
-  std::string file(const std::string &Name) const {
-    return (Path / Name).string();
-  }
-
-private:
-  fs::path Path;
-};
-
 } // namespace
 
 TEST(ServeSoakTest, SweeperVersusRequestsStaysDeterministic) {
-  ScratchDir Dir("sweep_race");
+  ScratchDir Dir("clgen_serve_soak_", "sweep_race");
   ServerConfig Cfg;
   Cfg.SocketPath = Dir.file("serve.sock");
   Cfg.StoreDir = Dir.file("store");
@@ -128,7 +111,7 @@ TEST(ServeSoakTest, RepeatedDrainCyclesAreClean) {
   // Start/request/drain cycles over one store: each cycle's daemon
   // must come up on the same socket path, serve, and tear down without
   // leaking the socket file or wedging on its threads.
-  ScratchDir Dir("cycles");
+  ScratchDir Dir("clgen_serve_soak_", "cycles");
   uint64_t FirstDigest = 0;
   for (int Cycle = 0; Cycle < 3; ++Cycle) {
     ServerConfig Cfg;

@@ -16,6 +16,7 @@
 
 #include "store/Lifecycle.h"
 
+#include "../TestUtil.h"
 #include "clgen/Pipeline.h"
 #include "githubsim/GithubSim.h"
 #include "store/FailureLedger.h"
@@ -42,31 +43,11 @@
 
 using namespace clgen;
 using namespace clgen::store;
+using testutil::ScratchDir;
 
 namespace fs = std::filesystem;
 
 namespace {
-
-class ScratchDir {
-public:
-  explicit ScratchDir(const std::string &Name)
-      : Path(fs::temp_directory_path() /
-             ("clgen_stampede_test_" + Name)) {
-    fs::remove_all(Path);
-    fs::create_directories(Path);
-  }
-  ~ScratchDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  std::string file(const std::string &Name) const {
-    return (Path / Name).string();
-  }
-  std::string str() const { return Path.string(); }
-
-private:
-  fs::path Path;
-};
 
 /// Small, fast training workload shared by every stampede test; the
 /// point is contention, not model quality.
@@ -136,7 +117,7 @@ std::vector<uint8_t> resultBytes(const core::StreamingResult &R) {
 //===----------------------------------------------------------------------===//
 
 TEST(StoreStampedeTest, ThreadColdStampedeTrainsExactlyOnce) {
-  ScratchDir Dir("train_threads");
+  ScratchDir Dir("clgen_stampede_test_", "train_threads");
   auto Files = smallWorkload();
   auto Opts = smallPipelineOptions();
   constexpr size_t Racers = 4;
@@ -174,7 +155,7 @@ TEST(StoreStampedeTest, ThreadColdStampedeTrainsExactlyOnce) {
 }
 
 TEST(StoreStampedeTest, ThreadColdStampedeSynthesizesExactlyOnce) {
-  ScratchDir Dir("synth_threads");
+  ScratchDir Dir("clgen_stampede_test_", "synth_threads");
   auto Files = smallWorkload();
   auto Opts = smallPipelineOptions();
   constexpr size_t Racers = 4;
@@ -214,7 +195,7 @@ TEST(StoreStampedeTest, ThreadColdStampedeSynthesizesExactlyOnce) {
 }
 
 TEST(StoreStampedeTest, ThreadColdStampedeStreamingMeasuresEachKernelOnce) {
-  ScratchDir Dir("stream_threads");
+  ScratchDir Dir("clgen_stampede_test_", "stream_threads");
   auto Files = smallWorkload();
   auto Opts = smallPipelineOptions();
   constexpr size_t Racers = 4;
@@ -281,7 +262,7 @@ TEST(StoreStampedeTest, ThreadColdStampedeStreamingMeasuresEachKernelOnce) {
 
 #ifndef _WIN32
 TEST(StoreStampedeTest, ForkedColdStampedeTrainsExactlyOnce) {
-  ScratchDir Dir("train_forks");
+  ScratchDir Dir("clgen_stampede_test_", "train_forks");
   auto Files = smallWorkload();
   auto Opts = smallPipelineOptions();
   Opts.Train.Workers = 1;
@@ -344,7 +325,7 @@ TEST(StoreStampedeTest, ConcurrentGcVsCacheReadsNeverServesTornEntries) {
   // (a) a miss or (b) the exact measurement stored for that key —
   // never a torn, truncated or mixed-up entry. Under TSan this is also
   // the data-race certification for sweep vs. ResultCache.
-  ScratchDir Dir("gc_vs_reads");
+  ScratchDir Dir("clgen_stampede_test_", "gc_vs_reads");
   constexpr size_t KeyCount = 12;
   constexpr size_t Readers = 3;
   constexpr auto Duration = std::chrono::milliseconds(1500);

@@ -4,12 +4,12 @@
 // decisions must be a pure function of (plan seed, site, key,
 // evaluation count) — independent of thread scheduling and of which
 // other sites fire — and the arm/disarm lifecycle must reset cleanly.
-// These tests exercise the always-compiled runtime API directly, so
-// they run identically whether or not the build compiled sites in.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/FailPoint.h"
+
+#include "../TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -21,15 +21,9 @@
 using namespace clgen;
 using support::FailPlan;
 using support::FailPoints;
+using testutil::ArmedPlan;
 
 namespace {
-
-/// RAII disarm so a failing test cannot leak an armed plan into the
-/// rest of the suite.
-struct ArmedPlan {
-  explicit ArmedPlan(const FailPlan &Plan) { FailPoints::arm(Plan); }
-  ~ArmedPlan() { FailPoints::disarm(); }
-};
 
 /// Evaluates (site, key) N times and returns the decision bitmap.
 std::vector<bool> decisions(const char *Site, uint64_t Key, size_t N) {
@@ -166,7 +160,7 @@ TEST(FailPointTest, ArmResetsCounters) {
   FailPlan Plan;
   Plan.Seed = 5;
   Plan.Probability = 1.0;
-  FailPoints::arm(Plan);
+  ArmedPlan Armed(Plan);
   (void)FailPoints::trip("vm.launch", 0);
   EXPECT_EQ(FailPoints::totalFires(), 1u);
   FailPoints::arm(Plan); // Re-arm: counters restart.

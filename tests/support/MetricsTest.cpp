@@ -219,17 +219,10 @@ TEST(MetricsTest, ResetZeroesButKeepsHandles) {
 //===----------------------------------------------------------------------===//
 
 TEST(MetricsTest, MacrosMatchCompiledInState) {
-  // Under CLGS_TELEMETRY=OFF the macros expand to nothing, so the
-  // metric is never registered; under ON it must count. Both builds run
-  // this test (the overhead fixture runs the suite with telemetry
-  // compiled out).
+  // A site registers its metric on first use and counts every pass.
   for (int I = 0; I < 3; ++I)
     CLGS_COUNT("test.metrics.macro");
   const Counter *C = MetricsRegistry::findCounter("test.metrics.macro");
-  if (support::telemetryCompiledIn()) {
-    ASSERT_NE(C, nullptr);
-    EXPECT_EQ(C->value(), 3u);
-  } else {
-    EXPECT_EQ(C, nullptr);
-  }
+  ASSERT_NE(C, nullptr);
+  EXPECT_EQ(C->value(), 3u);
 }

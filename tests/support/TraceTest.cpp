@@ -3,9 +3,8 @@
 // Coverage for support/Trace.h: session lifecycle, span/instant round
 // trips into Chrome trace-event JSON (checked with a minimal JSON
 // syntax validator), bounded-buffer overflow accounting, session
-// generation isolation, multi-threaded recording, and deterministic
-// rendering. The Trace runtime is always compiled, so everything here
-// except the macro test runs identically under CLGS_TELEMETRY=OFF.
+// generation isolation, multi-threaded recording, deterministic
+// rendering, and the CLGS_TRACE_* site macros.
 //
 //===----------------------------------------------------------------------===//
 
@@ -272,14 +271,10 @@ TEST(TraceTest, MacrosMatchCompiledInState) {
     CLGS_TRACE_INSTANT_IDX("macro-instant", 9);
   }
   Trace::stop();
-  if (support::telemetryCompiledIn()) {
-    EXPECT_EQ(Trace::eventCount(), 2u);
-    std::string Json = Trace::renderJson();
-    EXPECT_NE(Json.find("\"name\":\"macro-span\""), std::string::npos);
-    EXPECT_NE(Json.find("\"name\":\"macro-instant\""), std::string::npos);
-  } else {
-    EXPECT_EQ(Trace::eventCount(), 0u);
-  }
+  EXPECT_EQ(Trace::eventCount(), 2u);
+  std::string Json = Trace::renderJson();
+  EXPECT_NE(Json.find("\"name\":\"macro-span\""), std::string::npos);
+  EXPECT_NE(Json.find("\"name\":\"macro-instant\""), std::string::npos);
 }
 
 TEST(TraceTest, TwoSpansShareAScope) {
@@ -289,12 +284,8 @@ TEST(TraceTest, TwoSpansShareAScope) {
     CLGS_TRACE_SPAN_IDX("inner-span", 4);
   }
   Trace::stop();
-  if (support::telemetryCompiledIn()) {
-    EXPECT_EQ(Trace::eventCount(), 2u);
-    std::string Json = Trace::renderJson();
-    EXPECT_NE(Json.find("\"name\":\"outer-span\""), std::string::npos);
-    EXPECT_NE(Json.find("\"name\":\"inner-span\""), std::string::npos);
-  } else {
-    EXPECT_EQ(Trace::eventCount(), 0u);
-  }
+  EXPECT_EQ(Trace::eventCount(), 2u);
+  std::string Json = Trace::renderJson();
+  EXPECT_NE(Json.find("\"name\":\"outer-span\""), std::string::npos);
+  EXPECT_NE(Json.find("\"name\":\"inner-span\""), std::string::npos);
 }

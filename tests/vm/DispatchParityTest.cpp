@@ -4,10 +4,11 @@
 // switch loop it replaced. Every expectation below was recorded by
 // running the kernel through that reference loop: the ok flag, the
 // TrapKind and detail string, every ExecCounters field, and an FNV-1a
-// digest of each buffer after the launch. Both builds of the loop — the
-// computed-goto default and the portable switch of
-// -DCLGS_FORCE_SWITCH_DISPATCH=ON, which the check_dispatch fixture
-// runs this suite under — must reproduce them exactly. Coverage: a
+// digest of each buffer after the launch. Both instantiations of the
+// loop must reproduce them exactly, so every case launches twice: once
+// plain, which runs the computed-goto loop on GCC and Clang, and once
+// with an OpcodeProfile attached, which runs the portable switch loop
+// that carries the profile hook. Coverage: a
 // catalog of well-formed kernels over randomized payloads, vector,
 // local-memory and atomic kernels, one kernel per trap class, and the
 // launch-time Aux-range validation.
@@ -17,6 +18,7 @@
 #include "store/Archive.h"
 #include "vm/Compiler.h"
 #include "vm/Interpreter.h"
+#include "vm/Profile.h"
 
 #include <gtest/gtest.h>
 
@@ -77,33 +79,52 @@ const char *const CounterNames[13] = {
     "PrivateAccesses", "Branches",      "AtomicOps",  "Barriers",
     "ItemsTotal",      "ItemsExecuted"};
 
-/// Launches \p K once on a copy of \p Input and checks everything
-/// observable against \p Want.
+/// The two ways every case launches: unprofiled (the computed-goto
+/// loop where the compiler has it) and profiled (the switch loop).
+const bool ProfiledModes[] = {false, true};
+
+const char *loopName(bool Profiled) {
+  return Profiled ? "profiled launch (switch loop)" : "unprofiled launch";
+}
+
+/// Launches \p K on a fresh copy of \p Input in each mode and checks
+/// everything observable against \p Want.
 void expectVerdict(const CompiledKernel &K, const std::vector<KernelArg> &Args,
-                   std::vector<BufferData> Input, const LaunchConfig &Config,
-                   const Verdict &Want) {
-  auto R = launchKernel(K, Args, Input, Config);
-  EXPECT_EQ(R.ok(), Want.Ok) << (R.ok() ? "" : R.errorMessage());
-  EXPECT_EQ(R.trap(), Want.Trap)
-      << trapKindName(R.trap()) << " vs " << trapKindName(Want.Trap);
-  EXPECT_EQ(R.ok() ? std::string() : R.errorMessage(), Want.Detail);
-  if (R.ok() && Want.Ok) {
-    const ExecCounters &C = R.get();
-    const uint64_t Got[13] = {
-        C.Instructions,  C.ComputeOps,      C.MathCalls,  C.GlobalLoads,
-        C.GlobalStores,  C.CoalescedGlobal, C.LocalAccesses,
-        C.PrivateAccesses, C.Branches,      C.AtomicOps,  C.Barriers,
-        C.ItemsTotal,    C.ItemsExecuted};
-    for (size_t I = 0; I < 13; ++I)
-      EXPECT_EQ(Got[I], Want.Counts[I]) << CounterNames[I];
-    EXPECT_EQ(C.Divergence, Want.Divergence);
+                   const std::vector<BufferData> &Input,
+                   const LaunchConfig &Config, const Verdict &Want) {
+  for (bool Profiled : ProfiledModes) {
+    SCOPED_TRACE(loopName(Profiled));
+    std::vector<BufferData> Bufs = Input;
+    OpcodeProfile Profile;
+    LaunchConfig C = Config;
+    C.Profile = Profiled ? &Profile : nullptr;
+    auto R = launchKernel(K, Args, Bufs, C);
+    EXPECT_EQ(R.ok(), Want.Ok) << (R.ok() ? "" : R.errorMessage());
+    EXPECT_EQ(R.trap(), Want.Trap)
+        << trapKindName(R.trap()) << " vs " << trapKindName(Want.Trap);
+    EXPECT_EQ(R.ok() ? std::string() : R.errorMessage(), Want.Detail);
+    if (R.ok() && Want.Ok) {
+      const ExecCounters &E = R.get();
+      const uint64_t Got[13] = {
+          E.Instructions,  E.ComputeOps,      E.MathCalls,  E.GlobalLoads,
+          E.GlobalStores,  E.CoalescedGlobal, E.LocalAccesses,
+          E.PrivateAccesses, E.Branches,      E.AtomicOps,  E.Barriers,
+          E.ItemsTotal,    E.ItemsExecuted};
+      for (size_t I = 0; I < 13; ++I)
+        EXPECT_EQ(Got[I], Want.Counts[I]) << CounterNames[I];
+      EXPECT_EQ(E.Divergence, Want.Divergence);
+      if (Profiled) {
+        EXPECT_GT(Profile.instructionTotal(), 0u)
+            << "the profiled launch did not run the profiling loop";
+      }
+    }
+    ASSERT_EQ(Bufs.size(), Want.Digests.size());
+    for (size_t I = 0; I < Bufs.size(); ++I)
+      EXPECT_EQ(store::fnv1a64(Bufs[I].Data.data(),
+                               Bufs[I].Data.size() * sizeof(double)),
+                Want.Digests[I])
+          << "buffer " << I;
   }
-  ASSERT_EQ(Input.size(), Want.Digests.size());
-  for (size_t I = 0; I < Input.size(); ++I)
-    EXPECT_EQ(store::fnv1a64(Input[I].Data.data(),
-                             Input[I].Data.size() * sizeof(double)),
-              Want.Digests[I])
-        << "buffer " << I;
 }
 
 } // namespace
@@ -344,14 +365,19 @@ TEST(DispatchParityTest, WatchdogTrapParity) {
       "__kernel void A(__global float* a) {\n"
       "  while (1) { a[0] = a[0] + 1.0f; }\n"
       "}");
-  LaunchConfig C = config1D(1, 1);
-  C.WatchdogMs = 20;
-  C.MaxInstructions = ~0ull;
-  std::vector<BufferData> Bufs = {randomBuffer(1, 1, 1)};
-  auto R = launchKernel(K, {KernelArg::buffer(0)}, Bufs, C);
-  ASSERT_FALSE(R.ok());
-  EXPECT_EQ(R.trap(), TrapKind::WatchdogTimeout)
-      << trapKindName(R.trap()) << ": " << R.errorMessage();
+  for (bool Profiled : ProfiledModes) {
+    SCOPED_TRACE(loopName(Profiled));
+    OpcodeProfile Profile;
+    LaunchConfig C = config1D(1, 1);
+    C.WatchdogMs = 20;
+    C.MaxInstructions = ~0ull;
+    C.Profile = Profiled ? &Profile : nullptr;
+    std::vector<BufferData> Bufs = {randomBuffer(1, 1, 1)};
+    auto R = launchKernel(K, {KernelArg::buffer(0)}, Bufs, C);
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.trap(), TrapKind::WatchdogTimeout)
+        << trapKindName(R.trap()) << ": " << R.errorMessage();
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -385,7 +411,7 @@ CompiledKernel poisonedKernel(Opcode Op, uint8_t Aux) {
 
 TEST(DispatchParityTest, OutOfRangeAuxIsBadLaunchInEveryMode) {
   // An Aux beyond the enum range must be rejected by launch-time
-  // verification as TrapKind::BadLaunch in both builds of the loop.
+  // verification as TrapKind::BadLaunch before either loop runs.
   // prepareExecProgram specializes BinOp handlers by adding Aux to
   // ExtOp::BinAdd, so an unvalidated Aux of 200 would index the
   // label-address table out of range — undefined behavior, not a
