@@ -192,7 +192,7 @@ ExperimentResult computeExperiment(const ExperimentOptions &Opts,
   std::optional<store::FailureLedger> Ledger;
   if (!StoreDir.empty()) {
     Cache.emplace(StoreDir + "/results");
-    Ledger.emplace(StoreDir + "/ledger");
+    Ledger.emplace(StoreDir + "/failures");
     S.Cache = &*Cache;
     S.Ledger = &*Ledger;
   }

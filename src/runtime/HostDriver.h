@@ -146,7 +146,8 @@ runBenchmarkBatch(const std::vector<vm::CompiledKernel> &Kernels,
                   unsigned Workers = 0);
 
 /// Store tally of one streaming pipeline run (StreamingResult::
-/// CacheStats); cache-level counters live in store::ResultCache::stats().
+/// CacheStats); the process-wide tallies are the `clgen.cache.*` and
+/// `clgen.ledger.*` registry counters.
 struct BatchCacheStats {
   size_t Hits = 0;
   size_t Misses = 0;

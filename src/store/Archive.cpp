@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 
 using namespace clgen;
 using namespace clgen::store;
@@ -193,12 +194,15 @@ const char *store::archiveKindName(uint32_t Kind) {
   return "unknown";
 }
 
-Result<ArchiveInfo> store::inspectArchive(const std::string &Path) {
-  std::vector<uint8_t> Bytes;
-  if (!readFileBytes(Path, Bytes))
-    return Result<ArchiveInfo>::error("cannot read archive: " + Path);
+// Header (20) + checksum trailer (8) is the minimum well-formed size.
+static constexpr size_t HeaderSize = 20, TrailerSize = 8;
 
-  constexpr size_t HeaderSize = 20, TrailerSize = 8;
+/// The one container check: size, magic, version, kind (when
+/// \p ExpectedKind is given), payload size and checksum, in that order,
+/// so a damaged file reports the same first error to every reader.
+static Result<ArchiveInfo>
+checkContainer(const std::vector<uint8_t> &Bytes,
+               std::optional<ArchiveKind> ExpectedKind) {
   ArchiveInfo Info;
   Info.FileSize = Bytes.size();
   if (Bytes.size() < HeaderSize + TrailerSize)
@@ -214,6 +218,11 @@ Result<ArchiveInfo> store::inspectArchive(const std::string &Path) {
     return Result<ArchiveInfo>::error(
         "unsupported format version " + std::to_string(Info.Version) +
         " (expected " + std::to_string(FormatVersion) + ")");
+  if (ExpectedKind && Info.Kind != static_cast<uint32_t>(*ExpectedKind))
+    return Result<ArchiveInfo>::error(
+        "archive kind mismatch: found " + std::to_string(Info.Kind) +
+        ", expected " +
+        std::to_string(static_cast<uint32_t>(*ExpectedKind)));
   if (Info.PayloadSize != Bytes.size() - HeaderSize - TrailerSize)
     return Result<ArchiveInfo>::error(
         "archive truncated: header promises " +
@@ -225,6 +234,13 @@ Result<ArchiveInfo> store::inspectArchive(const std::string &Path) {
     return Result<ArchiveInfo>::error(
         "checksum mismatch: archive is corrupted");
   return Info;
+}
+
+Result<ArchiveInfo> store::inspectArchive(const std::string &Path) {
+  std::vector<uint8_t> Bytes;
+  if (!readFileBytes(Path, Bytes))
+    return Result<ArchiveInfo>::error("cannot read archive: " + Path);
+  return checkContainer(Bytes, std::nullopt);
 }
 
 Result<ArchiveReader> ArchiveReader::open(const std::string &Path,
@@ -240,40 +256,12 @@ Result<ArchiveReader> ArchiveReader::open(const std::string &Path,
 
 Result<ArchiveReader> ArchiveReader::fromBytes(std::vector<uint8_t> Bytes,
                                                ArchiveKind ExpectedKind) {
-  // Header (20) + checksum trailer (8) is the minimum well-formed size.
-  constexpr size_t HeaderSize = 20, TrailerSize = 8;
-  if (Bytes.size() < HeaderSize + TrailerSize)
-    return Result<ArchiveReader>::error(
-        "archive truncated: " + std::to_string(Bytes.size()) +
-        " bytes is smaller than the fixed header");
-  if (peekU32(Bytes.data()) != ArchiveMagic)
-    return Result<ArchiveReader>::error("bad magic: not a CLGS archive");
-  uint32_t Version = peekU32(Bytes.data() + 4);
-  if (Version != FormatVersion)
-    return Result<ArchiveReader>::error(
-        "unsupported format version " + std::to_string(Version) +
-        " (expected " + std::to_string(FormatVersion) + ")");
-  uint32_t Kind = peekU32(Bytes.data() + 8);
-  if (Kind != static_cast<uint32_t>(ExpectedKind))
-    return Result<ArchiveReader>::error(
-        "archive kind mismatch: found " + std::to_string(Kind) +
-        ", expected " +
-        std::to_string(static_cast<uint32_t>(ExpectedKind)));
-  uint64_t PayloadSize = peekU64(Bytes.data() + 12);
-  if (PayloadSize != Bytes.size() - HeaderSize - TrailerSize)
-    return Result<ArchiveReader>::error(
-        "archive truncated: header promises " +
-        std::to_string(PayloadSize) + " payload bytes, file carries " +
-        std::to_string(Bytes.size() - HeaderSize - TrailerSize));
-  uint64_t Stored = peekU64(Bytes.data() + HeaderSize + PayloadSize);
-  uint64_t Actual = fnv1a64(Bytes.data(), HeaderSize + PayloadSize);
-  if (Stored != Actual)
-    return Result<ArchiveReader>::error(
-        "checksum mismatch: archive is corrupted");
-
+  Result<ArchiveInfo> Info = checkContainer(Bytes, ExpectedKind);
+  if (!Info.ok())
+    return Result<ArchiveReader>::error(Info.errorMessage());
   ArchiveReader R;
   R.Data.assign(Bytes.begin() + HeaderSize,
-                Bytes.begin() + HeaderSize + PayloadSize);
+                Bytes.begin() + HeaderSize + Info.get().PayloadSize);
   return R;
 }
 

@@ -62,7 +62,6 @@ std::string FailureLedger::entryPath(uint64_t Key) const {
 }
 
 std::optional<FailureRecord> FailureLedger::lookup(uint64_t Key) {
-  Counters.Lookups.fetch_add(1, std::memory_order_relaxed);
   CLGS_COUNT("clgen.ledger.lookups");
   // Injected read fault: an honest miss — the kernel is re-measured and
   // (still failing deterministically) re-recorded.
@@ -71,20 +70,16 @@ std::optional<FailureRecord> FailureLedger::lookup(uint64_t Key) {
   auto Opened = ArchiveReader::open(entryPath(Key), ArchiveKind::Failure);
   if (!Opened.ok()) {
     std::error_code Ec;
-    if (DirOk && std::filesystem::exists(entryPath(Key), Ec)) {
-      Counters.BadEntries.fetch_add(1, std::memory_order_relaxed);
+    if (DirOk && std::filesystem::exists(entryPath(Key), Ec))
       CLGS_COUNT("clgen.ledger.bad_entries");
-    }
     return std::nullopt;
   }
   ArchiveReader R = Opened.take();
   auto Decoded = deserializeFailureRecord(R);
   if (!Decoded.ok()) {
-    Counters.BadEntries.fetch_add(1, std::memory_order_relaxed);
     CLGS_COUNT("clgen.ledger.bad_entries");
     return std::nullopt;
   }
-  Counters.NegativeHits.fetch_add(1, std::memory_order_relaxed);
   CLGS_COUNT("clgen.ledger.negative_hits");
   return Decoded.take().second;
 }
@@ -94,14 +89,11 @@ Status FailureLedger::record(uint64_t Key, const FailureRecord &Record) {
   if (!isDeterministicTrap(Record.Kind)) {
     // Policy refusal, not an error: transient and environment-dependent
     // failures must never poison future runs.
-    Counters.Rejected.fetch_add(1, std::memory_order_relaxed);
     CLGS_COUNT_V("clgen.ledger.rejected");
     return Status();
   }
-  Counters.Records.fetch_add(1, std::memory_order_relaxed);
   CLGS_COUNT("clgen.ledger.records");
   if (!DirOk) {
-    Counters.WriteFailures.fetch_add(1, std::memory_order_relaxed);
     CLGS_COUNT_V("clgen.ledger.write_failures");
     return Status::error("ledger directory unavailable: " + Dir,
                          TrapKind::IoError);
@@ -109,7 +101,6 @@ Status FailureLedger::record(uint64_t Key, const FailureRecord &Record) {
   if (CLGS_FAILPOINT_KEYED("ledger.write", Key)) {
     // Injected write fault: the failure stays unrecorded this run and is
     // rediscovered (and re-recorded) by the next one.
-    Counters.WriteFailures.fetch_add(1, std::memory_order_relaxed);
     CLGS_COUNT_V("clgen.ledger.write_failures");
     return Status::error("injected fault at ledger.write",
                          TrapKind::Injected);
@@ -117,23 +108,9 @@ Status FailureLedger::record(uint64_t Key, const FailureRecord &Record) {
   ArchiveWriter W(ArchiveKind::Failure);
   serializeFailureRecord(W, Key, Record);
   Status S = W.saveTo(entryPath(Key));
-  if (!S.ok()) {
-    Counters.WriteFailures.fetch_add(1, std::memory_order_relaxed);
+  if (!S.ok())
     CLGS_COUNT_V("clgen.ledger.write_failures");
-  }
   return S;
-}
-
-FailureLedger::Stats FailureLedger::stats() const {
-  Stats Out;
-  Out.Lookups = Counters.Lookups.load(std::memory_order_relaxed);
-  Out.NegativeHits = Counters.NegativeHits.load(std::memory_order_relaxed);
-  Out.BadEntries = Counters.BadEntries.load(std::memory_order_relaxed);
-  Out.Records = Counters.Records.load(std::memory_order_relaxed);
-  Out.Rejected = Counters.Rejected.load(std::memory_order_relaxed);
-  Out.WriteFailures =
-      Counters.WriteFailures.load(std::memory_order_relaxed);
-  return Out;
 }
 
 //===----------------------------------------------------------------------===//

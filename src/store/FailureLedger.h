@@ -21,12 +21,11 @@
 /// recording either would wrongly poison future runs. record() silently
 /// refuses non-ledgerable kinds so call sites need no filtering.
 ///
-/// Lookups go to disk every time (no memory front): a negative hit saves
-/// a full measurement, so one small file read is already a ~1000x win,
-/// and skipping the resident map means no (mtime, size) revalidation
-/// machinery against external sweeps — the directory is always the
-/// truth. `clgen-store failures <dir>` lists a ledger via
-/// store::listFailures / store::formatFailures.
+/// Lookups go to disk every time, like ResultCache lookups: a negative
+/// hit saves a full measurement, so one small file read is already a
+/// ~1000x win, and the directory is always the truth.
+/// `clgen-store failures <dir>` lists a ledger via store::listFailures /
+/// store::formatFailures.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +36,6 @@
 #include "support/Result.h"
 #include "support/Trap.h"
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -62,18 +60,9 @@ struct FailureRecord {
 
 /// Thread-safe persistent ledger over one directory. Degrades like the
 /// ResultCache: an uncreatable directory just never hits and every
-/// record() fails visibly in the stats.
+/// record() fails visibly (`clgen.ledger.write_failures`).
 class FailureLedger {
 public:
-  struct Stats {
-    size_t Lookups = 0;
-    size_t NegativeHits = 0; // Lookups that found a record.
-    size_t BadEntries = 0;   // Corrupt/truncated records seen.
-    size_t Records = 0;      // record() calls admitted.
-    size_t Rejected = 0;     // record() calls refused (non-ledgerable).
-    size_t WriteFailures = 0;
-  };
-
   /// Opens (creating if needed) the ledger directory.
   explicit FailureLedger(std::string Directory);
 
@@ -83,28 +72,19 @@ public:
 
   /// Persists \p Record under \p Key. Refuses non-deterministic trap
   /// kinds (returns success — refusal is policy, not an error; see the
-  /// Rejected counter). Concurrent records of the same key are benign
-  /// (atomic rename, last writer wins with identical content).
+  /// `clgen.ledger.rejected` counter). Concurrent records of the same
+  /// key are benign (atomic rename, last writer wins with identical
+  /// content).
   Status record(uint64_t Key, const FailureRecord &Record);
 
   const std::string &directory() const { return Dir; }
   bool directoryOk() const { return DirOk; }
-  Stats stats() const;
 
 private:
   std::string entryPath(uint64_t Key) const;
 
   std::string Dir;
   bool DirOk = false;
-  struct AtomicStats {
-    std::atomic<size_t> Lookups{0};
-    std::atomic<size_t> NegativeHits{0};
-    std::atomic<size_t> BadEntries{0};
-    std::atomic<size_t> Records{0};
-    std::atomic<size_t> Rejected{0};
-    std::atomic<size_t> WriteFailures{0};
-  };
-  AtomicStats Counters;
 };
 
 /// Serializes one failure record into an archive payload / reads it

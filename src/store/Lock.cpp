@@ -13,11 +13,9 @@
 #include <thread>
 #include <utility>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <sys/file.h>
 #include <unistd.h>
-#endif
 
 using namespace clgen;
 using namespace clgen::store;
@@ -36,7 +34,6 @@ ScopedLock &ScopedLock::operator=(ScopedLock &&Other) noexcept {
 }
 
 void ScopedLock::release() {
-#ifndef _WIN32
   if (Fd >= 0) {
     // close() drops the flock with the file description; an explicit
     // unlock first keeps the window where a dead fd still excludes
@@ -44,12 +41,9 @@ void ScopedLock::release() {
     ::flock(Fd, LOCK_UN);
     ::close(Fd);
   }
-#endif
   Fd = -1;
   LockPath.clear();
 }
-
-#ifndef _WIN32
 
 /// One acquisition attempt. \p Contended distinguishes "someone else
 /// holds it" (retryable) from "the lock file cannot be opened at all"
@@ -104,31 +98,6 @@ Result<ScopedLock> ScopedLock::acquire(const std::string &Path,
     std::this_thread::sleep_for(Opts.PollInterval);
   }
 }
-
-#else // _WIN32
-
-// No flock on Windows: degrade to "never held". Every caller treats
-// locking as best-effort stampede control, so correctness (atomic
-// rename publication) is unaffected — only dedup of concurrent work.
-Result<ScopedLock> ScopedLock::tryAcquireImpl(const std::string &Path,
-                                              bool &Contended) {
-  Contended = false;
-  ScopedLock L;
-  L.LockPath = Path;
-  return L;
-}
-
-Result<ScopedLock> ScopedLock::tryAcquire(const std::string &Path) {
-  bool Contended = false;
-  return tryAcquireImpl(Path, Contended);
-}
-
-Result<ScopedLock> ScopedLock::acquire(const std::string &Path,
-                                       const LockOptions &) {
-  return tryAcquire(Path);
-}
-
-#endif // _WIN32
 
 ScopedLock ScopedLock::acquireForMiss(const std::string &Path,
                                       const LockOptions &Opts) {

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fixtures shared by the test binaries: a per-test scratch directory
-/// and a scoped failpoint plan.
+/// Fixtures shared by the test binaries: a per-test scratch directory,
+/// a scoped failpoint plan and a registry counter reader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +14,7 @@
 #define CLGEN_TESTS_TESTUTIL_H
 
 #include "support/FailPoint.h"
+#include "support/Metrics.h"
 
 #include <filesystem>
 #include <string>
@@ -61,6 +62,14 @@ public:
   ArmedPlan(const ArmedPlan &) = delete;
   ArmedPlan &operator=(const ArmedPlan &) = delete;
 };
+
+/// Current value of the registry counter \p Name; 0 when it was never
+/// registered. Counters are process-wide, so tests compare before/after
+/// deltas.
+inline uint64_t counterValue(const char *Name) {
+  const support::Counter *C = support::MetricsRegistry::findCounter(Name);
+  return C ? C->value() : 0;
+}
 
 } // namespace testutil
 } // namespace clgen

@@ -25,6 +25,7 @@
 using namespace clgen;
 using namespace clgen::core;
 using testutil::ArmedPlan;
+using testutil::counterValue;
 using testutil::ScratchDir;
 
 namespace {
@@ -281,6 +282,7 @@ TEST(PipelineFaultTest, RefillSurvivesFaultsAtEverySiteClass) {
   Armed.Driver.WatchdogMs = 10; // Stalled launches die as timeouts.
   Armed.Driver.MaxRetries = 3;
   Armed.MeasureWorkers = 4;
+  uint64_t WriteFailuresBefore = counterValue("clgen.ledger.write_failures");
   StreamingResult Out = [&] {
     ArmedPlan Scope(Plan);
     return W.Pipeline->synthesizeAndMeasure(W.P, Armed);
@@ -321,7 +323,8 @@ TEST(PipelineFaultTest, RefillSurvivesFaultsAtEverySiteClass) {
     }
   }
   EXPECT_GT(Deterministic, 0u) << "no deterministic traps under injection";
-  EXPECT_LE(Missing, Ledger.stats().WriteFailures)
+  EXPECT_LE(Missing,
+            counterValue("clgen.ledger.write_failures") - WriteFailuresBefore)
       << "ledger entries missing beyond the injected write failures";
   EXPECT_GT(Deterministic - Missing, 0u)
       << "no classified record survived to the ledger";

@@ -29,15 +29,14 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 using namespace clgen;
 using namespace clgen::serve;
+using testutil::counterValue;
 using testutil::ScratchDir;
 
 namespace fs = std::filesystem;
@@ -62,11 +61,6 @@ SynthesizeRequest testRequest(uint64_t Seed = 1) {
   Req.Seed = Seed;
   Req.Temperature = 0.5;
   return Req;
-}
-
-uint64_t counterValue(const char *Name) {
-  const support::Counter *C = support::MetricsRegistry::findCounter(Name);
-  return C ? C->value() : 0;
 }
 
 } // namespace
@@ -211,7 +205,6 @@ TEST(ServeServerTest, ConcurrentThreadClientsSampleExactlyOnce) {
   S.wait();
 }
 
-#ifndef _WIN32
 TEST(ServeServerTest, ConcurrentForkClientsSampleExactlyOnce) {
   // The same exactly-once contract with PROCESS clients: fork() K
   // children that all fire the identical request at once. Sampling
@@ -363,7 +356,6 @@ TEST(ServeServerTest, MalformedFrameGetsErrorResponseAndDrop) {
   S.requestDrain();
   S.wait();
 }
-#endif // !_WIN32
 
 TEST(ServeServerTest, DrainLetsInFlightRequestsFinish) {
   ScratchDir Dir("clgen_serve_", "drain");

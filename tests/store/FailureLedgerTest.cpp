@@ -20,6 +20,7 @@
 
 using namespace clgen;
 using namespace clgen::store;
+using testutil::counterValue;
 using testutil::ScratchDir;
 
 namespace {
@@ -37,6 +38,9 @@ TEST(FailureLedgerTest, RecordLookupRoundTrip) {
   ScratchDir Dir("clgen_ledger_test_", "roundtrip");
   FailureLedger Ledger(Dir.str());
   ASSERT_TRUE(Ledger.directoryOk());
+  uint64_t LookupsBefore = counterValue("clgen.ledger.lookups");
+  uint64_t HitsBefore = counterValue("clgen.ledger.negative_hits");
+  uint64_t RecordsBefore = counterValue("clgen.ledger.records");
 
   EXPECT_FALSE(Ledger.lookup(42).has_value());
   ASSERT_TRUE(Ledger
@@ -56,15 +60,16 @@ TEST(FailureLedgerTest, RecordLookupRoundTrip) {
   ASSERT_TRUE(Again.has_value());
   EXPECT_EQ(Again->Detail, Found->Detail);
 
-  auto Stats = Ledger.stats();
-  EXPECT_EQ(Stats.Lookups, 2u);
-  EXPECT_EQ(Stats.NegativeHits, 1u);
-  EXPECT_EQ(Stats.Records, 1u);
+  EXPECT_EQ(counterValue("clgen.ledger.lookups") - LookupsBefore, 3u);
+  EXPECT_EQ(counterValue("clgen.ledger.negative_hits") - HitsBefore, 2u);
+  EXPECT_EQ(counterValue("clgen.ledger.records") - RecordsBefore, 1u);
 }
 
 TEST(FailureLedgerTest, RefusesNonDeterministicKinds) {
   ScratchDir Dir("clgen_ledger_test_", "policy");
   FailureLedger Ledger(Dir.str());
+  uint64_t RejectedBefore = counterValue("clgen.ledger.rejected");
+  uint64_t RecordsBefore = counterValue("clgen.ledger.records");
   // Transient and environment-dependent classes must never be persisted:
   // they would wrongly poison future runs.
   for (TrapKind K : {TrapKind::Injected, TrapKind::IoError,
@@ -74,8 +79,8 @@ TEST(FailureLedgerTest, RefusesNonDeterministicKinds) {
     EXPECT_FALSE(Ledger.lookup(7).has_value())
         << "kind " << trapKindName(K) << " must not be recorded";
   }
-  EXPECT_EQ(Ledger.stats().Rejected, 5u);
-  EXPECT_EQ(Ledger.stats().Records, 0u);
+  EXPECT_EQ(counterValue("clgen.ledger.rejected") - RejectedBefore, 5u);
+  EXPECT_EQ(counterValue("clgen.ledger.records") - RecordsBefore, 0u);
 
   // Every deterministic class IS admitted.
   uint64_t Key = 100;
@@ -109,8 +114,9 @@ TEST(FailureLedgerTest, CorruptEntryDegradesToMiss) {
   ASSERT_FALSE(Entry.empty());
   std::filesystem::resize_file(Entry,
                                std::filesystem::file_size(Entry) / 2);
+  uint64_t BadBefore = counterValue("clgen.ledger.bad_entries");
   EXPECT_FALSE(Ledger.lookup(9).has_value());
-  EXPECT_GE(Ledger.stats().BadEntries, 1u);
+  EXPECT_EQ(counterValue("clgen.ledger.bad_entries") - BadBefore, 1u);
 
   // Re-recording overwrites the corpse and the lookup works again.
   ASSERT_TRUE(
@@ -127,8 +133,10 @@ TEST(FailureLedgerTest, UncreatableDirectoryDegrades) {
   FailureLedger Ledger(FilePath);
   EXPECT_FALSE(Ledger.directoryOk());
   EXPECT_FALSE(Ledger.lookup(1).has_value());
+  uint64_t FailuresBefore = counterValue("clgen.ledger.write_failures");
   EXPECT_FALSE(Ledger.record(1, record(TrapKind::OutOfBounds, "x")).ok());
-  EXPECT_EQ(Ledger.stats().WriteFailures, 1u);
+  EXPECT_EQ(counterValue("clgen.ledger.write_failures") - FailuresBefore,
+            1u);
 }
 
 TEST(FailureLedgerTest, ListAndFormatAreByteStable) {

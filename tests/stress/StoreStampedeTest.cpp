@@ -36,10 +36,8 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 using namespace clgen;
 using namespace clgen::store;
@@ -260,7 +258,6 @@ TEST(StoreStampedeTest, ThreadColdStampedeStreamingMeasuresEachKernelOnce) {
 // Process-level stampede (fork)
 //===----------------------------------------------------------------------===//
 
-#ifndef _WIN32
 TEST(StoreStampedeTest, ForkedColdStampedeTrainsExactlyOnce) {
   ScratchDir Dir("clgen_stampede_test_", "train_forks");
   auto Files = smallWorkload();
@@ -312,7 +309,6 @@ TEST(StoreStampedeTest, ForkedColdStampedeTrainsExactlyOnce) {
       << "cross-process stampede control must dedupe cold training";
   EXPECT_EQ(Loaded, Racers - 1);
 }
-#endif // !_WIN32
 
 //===----------------------------------------------------------------------===//
 // Concurrent GC vs. live cache traffic
@@ -371,8 +367,7 @@ TEST(StoreStampedeTest, ConcurrentGcVsCacheReadsNeverServesTornEntries) {
   std::vector<std::thread> ReaderThreads;
   for (size_t T = 0; T < Readers; ++T)
     ReaderThreads.emplace_back([&, T] {
-      // A fresh instance per reader: every hit exercises the disk/
-      // revalidation path against the sweeper, like a cold process.
+      // Every lookup reads the entry file while the sweeper evicts.
       ResultCache Cache(Dir.str());
       size_t I = T;
       while (!Stop.load(std::memory_order_relaxed)) {
