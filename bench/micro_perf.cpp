@@ -67,8 +67,6 @@ void BM_CompileKernel(benchmark::State &State) {
 }
 BENCHMARK(BM_CompileKernel);
 
-// The label names the loop an unprofiled launch dispatches with:
-// "goto" on GCC/Clang, "switch" on compilers without computed goto.
 void BM_InterpretKernel(benchmark::State &State) {
   auto K = vm::compileFirstKernel(sampleSource()).take();
   std::vector<vm::BufferData> Bufs = {
@@ -88,7 +86,6 @@ void BM_InterpretKernel(benchmark::State &State) {
     Instructions += R.get().Instructions;
     benchmark::DoNotOptimize(R.get().Instructions);
   }
-  State.SetLabel(vm::threadedDispatchAvailable() ? "goto" : "switch");
   State.counters["instr/s"] = benchmark::Counter(
       static_cast<double>(Instructions), benchmark::Counter::kIsRate);
 }

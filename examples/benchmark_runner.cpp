@@ -44,7 +44,6 @@
 #include "support/Trace.h"
 #include "support/Trap.h"
 #include "vm/Compiler.h"
-#include "vm/Profile.h"
 
 #include <chrono>
 #include <cstdio>
@@ -101,10 +100,6 @@ struct RunnerConfig {
   // Telemetry.
   std::string TraceOut;         // Chrome trace JSON destination.
   std::string MetricsOut;       // Metrics text exposition destination.
-  bool ProfileVm = false;       // Print the opcode/pair profile report.
-  /// Aggregation target for --profile-vm, owned by main and wired into
-  /// both modes' DriverOptions.
-  vm::SharedOpcodeProfile *Profile = nullptr;
   // Predictive-modeling experiment (--experiment).
   bool Experiment = false;
   size_t Folds = 0;            // 0 = golden default.
@@ -214,7 +209,6 @@ int runPipeline(const RunnerConfig &Cfg) {
   SOpts.Driver.GlobalSize = 16384;
   SOpts.Driver.WatchdogMs = Cfg.WatchdogMs;
   SOpts.Driver.MaxRetries = Cfg.Retries;
-  SOpts.Driver.Profile = Cfg.Profile;
   SOpts.MeasureWorkers = Cfg.MeasureWorkers;
   SOpts.QueueCapacity = Cfg.QueueCapacity;
   SOpts.RefillFailures = Cfg.Refill;
@@ -323,7 +317,6 @@ int runExperimentMode(const RunnerConfig &Cfg) {
   }
   Opts.Streaming.Driver.WatchdogMs = Cfg.WatchdogMs;
   Opts.Streaming.Driver.MaxRetries = Cfg.Retries;
-  Opts.Streaming.Driver.Profile = Cfg.Profile;
 
   predict::ExperimentResult R;
   if (Cfg.CacheDir.empty()) {
@@ -385,13 +378,11 @@ int runExperimentMode(const RunnerConfig &Cfg) {
   return 0;
 }
 
-/// Writes --trace-out / --metrics-out and prints the --profile-vm
-/// report. main runs this on EVERY pipeline exit path — including the
-/// exit-3 zero-measurement failure, where the partial trace/metrics
-/// are exactly the evidence you want. Returns false when a file write
-/// failed (after reporting it).
-bool flushTelemetry(const RunnerConfig &Cfg,
-                    vm::SharedOpcodeProfile &Profile) {
+/// Writes --trace-out / --metrics-out. main runs this on EVERY pipeline
+/// exit path — including the exit-3 zero-measurement failure, where the
+/// partial trace/metrics are exactly the evidence you want. Returns
+/// false when a file write failed (after reporting it).
+bool flushTelemetry(const RunnerConfig &Cfg) {
   auto WriteFile = [](const std::string &Path, const std::string &Body) {
     std::FILE *F = std::fopen(Path.c_str(), "wb");
     if (!F)
@@ -422,10 +413,6 @@ bool flushTelemetry(const RunnerConfig &Cfg,
     } else {
       std::printf("metrics: wrote %s\n", Cfg.MetricsOut.c_str());
     }
-  }
-  if (Cfg.ProfileVm) {
-    vm::OpcodeProfile P = Profile.snapshot();
-    std::fputs(vm::formatOpcodeReport(P, 10).c_str(), stdout);
   }
   return Ok;
 }
@@ -559,9 +546,6 @@ void printUsage(const char *Prog, std::FILE *Out) {
       "                        cache/ledger writes; load in Perfetto)\n"
       "  --metrics-out FILE    write the metrics registry text exposition\n"
       "                        after the run\n"
-      "  --profile-vm          aggregate per-opcode and opcode-pair\n"
-      "                        execution counts over every VM launch and\n"
-      "                        print the top-10 report\n"
       "\n"
       "A pipeline run that delivers zero successful measurements —\n"
       "whether every kernel failed or the delivery was empty — exits\n"
@@ -698,9 +682,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--metrics-out" && I + 1 < Argc) {
       Cfg.MetricsOut = Argv[++I];
       Cfg.TelemetryFlagSet = true;
-    } else if (Arg == "--profile-vm") {
-      Cfg.ProfileVm = true;
-      Cfg.TelemetryFlagSet = true;
     } else if (Arg == "--inject" && I + 1 < Argc) {
       char *End = nullptr;
       double Prob = std::strtod(Argv[++I], &End);
@@ -762,8 +743,8 @@ int main(int Argc, char **Argv) {
   }
   if (Cfg.TelemetryFlagSet && !PipelineMode) {
     std::fprintf(stderr,
-                 "--trace-out/--metrics-out/--profile-vm require a "
-                 "pipeline mode (--cache-dir and/or --pipeline)\n");
+                 "--trace-out/--metrics-out require a pipeline mode "
+                 "(--cache-dir and/or --pipeline)\n");
     return 2;
   }
   if (Cfg.InjectProb > 0.0) {
@@ -772,9 +753,6 @@ int main(int Argc, char **Argv) {
     support::FailPoints::arm(Plan);
     std::printf("failpoints: armed every site at p=%.3f\n", Cfg.InjectProb);
   }
-  vm::SharedOpcodeProfile VmProfile;
-  if (Cfg.ProfileVm)
-    Cfg.Profile = &VmProfile;
   if (!Cfg.TraceOut.empty())
     support::Trace::start();
   int Exit = -1;
@@ -783,7 +761,7 @@ int main(int Argc, char **Argv) {
   else if (Cfg.Pipeline || !Cfg.CacheDir.empty())
     Exit = runPipeline(Cfg);
   if (Exit >= 0) {
-    if (!flushTelemetry(Cfg, VmProfile) && Exit == 0)
+    if (!flushTelemetry(Cfg) && Exit == 0)
       Exit = 1;
     if (support::FailPoints::armed())
       std::printf("failpoints: %llu injected faults fired\n",

@@ -232,14 +232,8 @@ std::vector<SynthesizedKernel> SynthesisEngine::takeKernels() {
 
 SynthesisResult core::synthesizeKernels(model::LanguageModel &Model,
                                         const SynthesisOptions &Opts) {
-  return synthesizeKernels(Model, Opts, AcceptSink());
-}
-
-SynthesisResult core::synthesizeKernels(model::LanguageModel &Model,
-                                        const SynthesisOptions &Opts,
-                                        const AcceptSink &Sink) {
   SynthesisEngine Eng(Model, Opts);
-  Eng.extendTo(Opts.TargetKernels, Sink);
+  Eng.extendTo(Opts.TargetKernels);
   SynthesisResult Result;
   Result.Stats = Eng.stats();
   Result.Kernels = Eng.takeKernels();

@@ -92,15 +92,6 @@ SynthesisResult synthesizeKernels(model::LanguageModel &Model,
 using AcceptSink =
     std::function<void(size_t AcceptIndex, const SynthesizedKernel &)>;
 
-/// Streaming variant: identical result (bit-identical kernels and stats
-/// for any worker count / wave size), but every accepted kernel is also
-/// handed to \p Sink the moment the in-order accept stage admits it, so
-/// downstream stages can overlap with the remaining synthesis instead
-/// of waiting behind a phase barrier.
-SynthesisResult synthesizeKernels(model::LanguageModel &Model,
-                                  const SynthesisOptions &Opts,
-                                  const AcceptSink &Sink);
-
 /// The synthesis loop as a resumable object: the sampling cursor, the
 /// dedup set and the stats survive between calls, so a caller that
 /// discovers too late that some accepted kernels were unusable (e.g.

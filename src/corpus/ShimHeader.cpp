@@ -93,17 +93,3 @@ typedef float T;
 )";
   return Text;
 }
-
-std::vector<std::string> corpus::shimTypeNames() {
-  return {"FLOAT_T", "FLOAT_TYPE", "DTYPE",      "REAL",      "real",
-          "TYPE",    "VALUE_TYPE", "DATA_TYPE",  "INDEX_TYPE", "uint32_t",
-          "int32_t", "UINT",       "FPTYPE",     "scalar_t",   "T"};
-}
-
-std::vector<std::string> corpus::shimConstantNames() {
-  return {"WG_SIZE",    "WGSIZE",       "WORKGROUP_SIZE", "BLOCK_SIZE",
-          "TILE_SIZE",  "LOCAL_SIZE",   "SIZE",           "N",
-          "NUM_ELEMENTS", "LENGTH",     "WIDTH",          "HEIGHT",
-          "BINS",       "ITERATIONS",   "ALPHA",          "EPSILON",
-          "THRESHOLD",  "WARP_SIZE",    "LIMIT",          "STRIDE"};
-}

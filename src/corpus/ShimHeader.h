@@ -18,18 +18,12 @@
 #define CLGEN_CORPUS_SHIMHEADER_H
 
 #include <string>
-#include <vector>
 
 namespace clgen {
 namespace corpus {
 
 /// The shim header source (typedefs + #defines).
 const std::string &shimHeaderText();
-
-/// The identifiers the shim provides (used by githubsim to create
-/// shim-fixable content files and by tests).
-std::vector<std::string> shimTypeNames();
-std::vector<std::string> shimConstantNames();
 
 } // namespace corpus
 } // namespace clgen

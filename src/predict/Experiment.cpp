@@ -311,7 +311,9 @@ uint64_t predict::experimentKey(const ExperimentOptions &Opts) {
     Key.writeString(Name);
   Key.writeU64(Opts.Runner.MaxSimulatedGroups);
   Key.writeU64(Opts.Runner.Seed);
-  Key.writeBool(Opts.Runner.SkipFailures);
+  // Where the catalogue runner's skip-failures flag, always true, was
+  // written: keeping the byte keeps every experiment key.
+  Key.writeU8(1);
   Key.writeU8(static_cast<uint8_t>(Opts.Kind));
   Key.writeI32(Opts.Tree.MaxDepth);
   Key.writeU64(Opts.Tree.MinSamplesLeaf);

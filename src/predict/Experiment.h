@@ -57,8 +57,7 @@ struct ExperimentOptions {
   /// Seed}, Driver.{GlobalSize, LocalSize, MaxSimulatedGroups,
   /// MaxInstructions, Seed, TrapDivZero, RunDynamicCheck} and
   /// RefillFailures. Scheduling-only: Synthesis.Workers/WaveSize,
-  /// MeasureWorkers, QueueCapacity, Driver.{WatchdogMs, MaxRetries,
-  /// RetryBackoffMs}.
+  /// MeasureWorkers, QueueCapacity, Driver.{WatchdogMs, MaxRetries}.
   core::StreamingOptions Streaming;
   /// SEMANTIC: benchmark suites to measure (empty = all seven, in
   /// suites::suiteNames() order) and the catalogue runner knobs.

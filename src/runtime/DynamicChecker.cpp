@@ -44,7 +44,6 @@ CheckResult runtime::checkKernel(const CompiledKernel &Kernel,
   Config.GlobalSize[0] = A1.GlobalSize;
   Config.LocalSize[0] = A1.LocalSize;
   Config.MaxInstructions = Opts.MaxInstructions;
-  Config.Profile = Opts.Profile;
 
   auto Execute = [&](Payload &P) -> bool {
     auto Run = launchKernel(Kernel, P.Args, P.Buffers, Config);

@@ -33,10 +33,6 @@
 #include <string>
 
 namespace clgen {
-namespace vm {
-struct OpcodeProfile;
-} // namespace vm
-
 namespace runtime {
 
 /// The taxonomy lives in support/ (the interpreter produces traps before
@@ -73,9 +69,6 @@ struct CheckOptions {
   /// Timeout budget per execution.
   uint64_t MaxInstructions = 20ull * 1000 * 1000;
   double Epsilon = 1e-6;
-  /// When non-null, every check launch accumulates its opcode profile
-  /// here (vm/Profile.h); pure observation, like LaunchConfig::Profile.
-  vm::OpcodeProfile *Profile = nullptr;
 };
 
 /// Runs the four-execution dynamic check on \p Kernel.

@@ -12,11 +12,8 @@
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "vm/Compiler.h"
-#include "vm/Profile.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 using namespace clgen;
 using namespace clgen::runtime;
@@ -29,19 +26,14 @@ DriverOptions runtime::batchDriverOptions(const DriverOptions &Opts,
   return KOpts;
 }
 
-namespace {
-
-/// runBenchmark's body; every launch it makes profiles into \p Prof
-/// when non-null.
-Result<Measurement> measure(const CompiledKernel &Kernel, const Platform &P,
-                            const DriverOptions &Opts, OpcodeProfile *Prof) {
+Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
+                                          const Platform &P,
+                                          const DriverOptions &Opts) {
   Rng R(Opts.Seed);
 
   if (Opts.RunDynamicCheck) {
-    CheckOptions COpts;
-    COpts.Profile = Prof;
     Rng CheckRng = R.fork();
-    CheckResult CR = checkKernel(Kernel, COpts, CheckRng);
+    CheckResult CR = checkKernel(Kernel, CheckOptions(), CheckRng);
     if (!CR.useful())
       return Result<Measurement>::error(
           std::string("dynamic check failed: ") +
@@ -68,7 +60,6 @@ Result<Measurement> measure(const CompiledKernel &Kernel, const Platform &P,
   Config.MaxWorkGroups = Opts.MaxSimulatedGroups;
   Config.WatchdogMs = Opts.WatchdogMs;
   Config.TrapDivZero = Opts.TrapDivZero;
-  Config.Profile = Prof;
 
   auto Run = launchKernel(Kernel, Pl.Args, Pl.Buffers, Config);
   if (!Run.ok())
@@ -83,23 +74,6 @@ Result<Measurement> measure(const CompiledKernel &Kernel, const Platform &P,
   M.LocalSize = Pl.LocalSize;
   M.CpuTime = estimateRuntime(P.Cpu, M.Counters, M.Transfer);
   M.GpuTime = estimateRuntime(P.Gpu, M.Counters, M.Transfer);
-  return M;
-}
-
-} // namespace
-
-Result<Measurement> runtime::runBenchmark(const CompiledKernel &Kernel,
-                                          const Platform &P,
-                                          const DriverOptions &Opts) {
-  if (!Opts.Profile)
-    return measure(Kernel, P, Opts, nullptr);
-  // Profile into a run-local buffer, then fold into the shared
-  // aggregate exactly once. The dynamic checker's launches and failed
-  // launches executed real instructions too, and those counts are part
-  // of the corpus's dynamic opcode mix.
-  OpcodeProfile LocalProf;
-  Result<Measurement> M = measure(Kernel, P, Opts, &LocalProf);
-  Opts.Profile->add(LocalProf);
   return M;
 }
 
@@ -140,23 +114,7 @@ runtime::runBenchmarkWithRetry(const CompiledKernel &Kernel,
     }
     CLGS_COUNT("clgen.driver.retries");
     CLGS_TRACE_INSTANT_IDX("driver.retry", Attempt);
-    if (Opts.RetryBackoffMs)
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          retryBackoffMs(Opts.RetryBackoffMs, Attempt)));
   }
-}
-
-uint64_t runtime::retryBackoffMs(uint32_t BackoffMs, uint32_t Attempt) {
-  if (BackoffMs == 0)
-    return 0;
-  // Shifting a uint64 by >= 64 is UB; anything past 63 saturates long
-  // before the shift matters, and past ~35 bits the product exceeds
-  // the cap anyway, so one clamped shift plus a compare is total.
-  uint32_t Shift = Attempt < 63 ? Attempt : 63;
-  uint64_t Sleep = Shift >= 64 - 32
-                       ? MaxRetrySleepMs // uint32 base << >=32 bits: over.
-                       : static_cast<uint64_t>(BackoffMs) << Shift;
-  return Sleep < MaxRetrySleepMs ? Sleep : MaxRetrySleepMs;
 }
 
 std::vector<Result<Measurement>>

@@ -24,7 +24,6 @@
 #include "support/Rng.h"
 #include "vm/Bytecode.h"
 #include "vm/Interpreter.h"
-#include "vm/Profile.h"
 
 #include <string>
 #include <vector>
@@ -46,8 +45,6 @@ struct Measurement {
 
   /// True when the GPU mapping is faster.
   bool gpuIsBest() const { return GpuTime < CpuTime; }
-  double bestTime() const { return GpuTime < CpuTime ? GpuTime : CpuTime; }
-  double timeOn(bool Gpu) const { return Gpu ? GpuTime : CpuTime; }
 };
 
 struct DriverOptions {
@@ -67,27 +64,13 @@ struct DriverOptions {
   /// and failures are never cached.
   uint64_t WatchdogMs = 0;
   /// Bounded retries for transient failure classes (injected faults,
-  /// I/O); deterministic classes fail fast. Excluded from cache keys.
+  /// I/O), each run at once; deterministic classes fail fast. Excluded
+  /// from cache keys.
   uint32_t MaxRetries = 2;
-  /// Base backoff between retries; attempt n sleeps
-  /// retryBackoffMs(RetryBackoffMs, n) — exponential (base << n),
-  /// deterministic, no jitter, saturating at MaxRetrySleepMs (the shift
-  /// is clamped, so large attempt counts neither overflow nor hit
-  /// shift-width UB). 0 = retry immediately. Excluded from cache keys.
-  uint32_t RetryBackoffMs = 0;
   /// Trap integer division/remainder by zero (TrapKind::DivByZero)
   /// instead of OpenCL's silent zero. Changes kernel-visible semantics,
   /// so it IS part of the measurement cache/ledger key recipe.
   bool TrapDivZero = false;
-  /// When non-null, every launch this driver executes, the dynamic
-  /// checker's included, accumulates its opcode/opcode-pair profile
-  /// here (vm/Profile.h), and so runs the VM's switch loop, which
-  /// carries the profile hook. Pure observation — excluded from cache
-  /// keys, never affects measurements — and the aggregate is identical
-  /// for any worker count (commutative merges). Note cache/ledger hits
-  /// skip execution, so a warm run profiles only what it actually
-  /// executed.
-  vm::SharedOpcodeProfile *Profile = nullptr;
 };
 
 /// Compiles and measures \p Source's first kernel on \p P's two devices.
@@ -103,27 +86,15 @@ Result<Measurement> runBenchmark(const vm::CompiledKernel &Kernel,
                                  const DriverOptions &Opts);
 
 /// runBenchmark with the retry policy applied: transient failures
-/// (isTransientTrap — injected faults, I/O) are retried up to
-/// Opts.MaxRetries times with deterministic backoff; deterministic
-/// failures return immediately. Every batch/streaming path measures
-/// through this wrapper. \p AttemptsOut, when given, receives the
-/// number of attempts consumed (1 = no retry).
+/// (isTransientTrap — injected faults, I/O) are retried at once, up to
+/// Opts.MaxRetries times; deterministic failures return immediately.
+/// Every batch/streaming path measures through this wrapper.
+/// \p AttemptsOut, when given, receives the number of attempts consumed
+/// (1 = no retry).
 Result<Measurement> runBenchmarkWithRetry(const vm::CompiledKernel &Kernel,
                                           const Platform &P,
                                           const DriverOptions &Opts,
                                           uint32_t *AttemptsOut = nullptr);
-
-/// Ceiling on one retry backoff sleep (30 s): a misconfigured or
-/// pathological retry budget degrades to bounded waiting, never to a
-/// multi-hour stall.
-inline constexpr uint64_t MaxRetrySleepMs = 30'000;
-
-/// The retry backoff schedule: BackoffMs << Attempt, with the shift
-/// clamped below the 64-bit width and the product saturated at
-/// MaxRetrySleepMs. A plain `BackoffMs << Attempt` is undefined for
-/// Attempt >= 32 on the uint32 field (and overflows long before the
-/// shift-width limit); this helper is total over the full input range.
-uint64_t retryBackoffMs(uint32_t BackoffMs, uint32_t Attempt);
 
 /// Per-kernel effective options for batch position \p I: the payload
 /// RNG seed is drawn from the counter-keyed stream I of \p Base (the

@@ -31,10 +31,10 @@ void serializeDriverOptions(ArchiveWriter &W, const DriverOptions &Opts) {
   W.writeU64(Opts.MaxInstructions);
   W.writeU64(Opts.Seed);
   // TrapDivZero changes kernel-visible semantics, so it is part of the
-  // recipe. The fault-tolerance knobs (WatchdogMs, MaxRetries,
-  // RetryBackoffMs) deliberately are NOT: they can only turn a
-  // measurement into a failure, never alter a successful measurement,
-  // and failures are not cached.
+  // recipe. The fault-tolerance knobs (WatchdogMs, MaxRetries)
+  // deliberately are NOT: they can only turn a measurement into a
+  // failure, never alter a successful measurement, and failures are not
+  // cached.
   W.writeBool(Opts.TrapDivZero);
 }
 

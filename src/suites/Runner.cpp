@@ -24,13 +24,9 @@ suites::measureCatalogue(const std::vector<BenchmarkKernel> &Catalogue,
   for (const BenchmarkKernel &BK : Catalogue) {
     auto Compiled = vm::compileFirstKernel(BK.Source);
     if (!Compiled.ok()) {
-      if (Opts.SkipFailures) {
-        std::fprintf(stderr, "warning: %s/%s %s does not compile: %s\n",
-                     BK.Suite.c_str(), BK.Benchmark.c_str(),
-                     BK.KernelName.c_str(),
-                     Compiled.errorMessage().c_str());
-        continue;
-      }
+      std::fprintf(stderr, "warning: %s/%s %s does not compile: %s\n",
+                   BK.Suite.c_str(), BK.Benchmark.c_str(),
+                   BK.KernelName.c_str(), Compiled.errorMessage().c_str());
       continue;
     }
     const vm::CompiledKernel &Kernel = Compiled.get();
@@ -45,13 +41,10 @@ suites::measureCatalogue(const std::vector<BenchmarkKernel> &Catalogue,
       DOpts.Seed = Opts.Seed ^ (Out.size() * 0x9E3779B9ull);
       auto M = runtime::runBenchmark(Kernel, P, DOpts);
       if (!M.ok()) {
-        if (Opts.SkipFailures) {
-          std::fprintf(stderr, "warning: %s/%s %s [%s] failed: %s\n",
-                       BK.Suite.c_str(), BK.Benchmark.c_str(),
-                       BK.KernelName.c_str(), DS.Name.c_str(),
-                       M.errorMessage().c_str());
-          continue;
-        }
+        std::fprintf(stderr, "warning: %s/%s %s [%s] failed: %s\n",
+                     BK.Suite.c_str(), BK.Benchmark.c_str(),
+                     BK.KernelName.c_str(), DS.Name.c_str(),
+                     M.errorMessage().c_str());
         continue;
       }
       predict::Observation O;

@@ -30,12 +30,12 @@ struct RunnerOptions {
   /// Work-group sampling cap per launch (counters are rescaled).
   size_t MaxSimulatedGroups = 24;
   uint64_t Seed = 0x5EEDCAFE;
-  /// Skip kernels that fail to compile or launch instead of aborting.
-  bool SkipFailures = true;
 };
 
 /// Runs every kernel x dataset of \p Catalogue on \p P. Returns one
-/// observation per successful run, in catalogue order.
+/// observation per successful run, in catalogue order; a kernel that
+/// fails to compile, or a run that fails, is skipped with a warning on
+/// stderr.
 std::vector<predict::Observation>
 measureCatalogue(const std::vector<BenchmarkKernel> &Catalogue,
                  const runtime::Platform &P,

@@ -174,7 +174,7 @@ struct CompiledKernel {
 };
 
 /// Short mnemonic for \p Op ("ldc", "bin", "jz", ...), as used by the
-/// disassembler and the opcode-profile reports.
+/// disassembler and verifyKernel's diagnostics.
 const char *opcodeName(Opcode Op);
 
 /// Validates internal consistency of \p K (register bounds, jump targets,

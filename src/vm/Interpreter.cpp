@@ -10,18 +10,14 @@
 #include "support/FailPoint.h"
 #include "support/StringUtils.h"
 #include "vm/Compiler.h"
-#include "vm/Profile.h"
 
 #include <chrono>
 #include <cmath>
 
-/// Computed-goto (label-address-table) dispatch is a GCC/Clang extension;
-/// other compilers run every launch on the portable switch loop, which
-/// profiled launches run everywhere.
-#if defined(__GNUC__) || defined(__clang__)
-#define CLGS_VM_COMPUTED_GOTO 1
-#else
-#define CLGS_VM_COMPUTED_GOTO 0
+// The execution loop dispatches with computed goto (labels as values),
+// a GNU extension that GCC and Clang implement.
+#ifndef __GNUC__
+#error "the VM's execution loop needs computed goto: build with GCC or Clang"
 #endif
 
 using namespace clgen;
@@ -73,10 +69,8 @@ double wrapToScalarKind(double X, Scalar S) {
 
 // Forced inline so a caller passing a constant operation (each
 // specialized binop handler's vector path) folds the switch away.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline))
-#endif
-inline double evalBinLane(VmBinOp Op, double A, double B) {
+__attribute__((always_inline)) inline double evalBinLane(VmBinOp Op, double A,
+                                                         double B) {
   switch (Op) {
   case VmBinOp::Add: return A + B;
   case VmBinOp::Sub: return A - B;
@@ -182,10 +176,6 @@ struct ItemState {
   bool Done = false;
   size_t Gid[3] = {0, 0, 0};
   size_t Lid[3] = {0, 0, 0};
-  /// Previously executed opcode of THIS item (-1 = none yet), so the
-  /// opcode-pair profile never pairs across work-items even when the
-  /// barrier path interleaves their execution.
-  int16_t PrevOp = -1;
 };
 
 /// Reusable per-thread execution scratch: group context, item states and
@@ -334,15 +324,9 @@ private:
   // The execution loop
   //===------------------------------------------------------------------===//
 
-  /// Two instantiations of the same handler bodies
-  /// (vm/InterpreterExecLoop.inc): a computed-goto label-address table
-  /// on GCC/Clang, and a portable switch. The switch loop is always
-  /// compiled and carries the opcode-profile hook, so it runs profiled
-  /// launches and every launch of a build without computed goto.
-  StepOutcome runItemExecSwitch(ItemState &S, GroupContext &G);
-#if CLGS_VM_COMPUTED_GOTO
-  StepOutcome runItemExecGoto(ItemState &S, GroupContext &G);
-#endif
+  /// Runs one item until barrier / halt / error: the computed-goto loop
+  /// over the handler bodies in vm/InterpreterExecLoop.inc.
+  StepOutcome runUntilPause(ItemState &S, GroupContext &G);
 
   bool execMemAccess(ItemState &S, GroupContext &G, const Instr &I) {
     int64_t Index = toInt(S.Regs[I.A].x());
@@ -722,16 +706,6 @@ private:
     }
     for (const auto &[Reg, V] : ScalarPreloads)
       S.Regs[Reg] = V;
-    S.PrevOp = -1;
-  }
-
-  /// Runs one item until barrier / halt / error.
-  StepOutcome runUntilPause(ItemState &S, GroupContext &G) {
-#if CLGS_VM_COMPUTED_GOTO
-    if (!Config.Profile)
-      return runItemExecGoto(S, G);
-#endif
-    return runItemExecSwitch(S, G);
   }
 
   bool runGroup(GroupContext &G) {
@@ -839,8 +813,6 @@ public:
           "malformed kernel bytecode: " + Malformed, TrapKind::BadLaunch);
     if (!bindArgs())
       return Result<ExecCounters>::error(Error, ErrKind);
-    if (Config.Profile)
-      ++Config.Profile->Launches;
     WatchdogNext = Config.WatchdogMs != 0 ? 0 : UINT64_MAX;
 
     prepareExecProgram(K, Scratch.Prog);
@@ -913,28 +885,11 @@ public:
   }
 };
 
-// Instantiate the execution loop twice from one handler-body template:
-// the portable switch over ExtOp (always compiled) and the computed-goto
-// loop when the extension is available.
-#define CLGS_EXEC_USE_GOTO 0
-#define CLGS_EXEC_FN runItemExecSwitch
 #include "vm/InterpreterExecLoop.inc"
-#undef CLGS_EXEC_FN
-#undef CLGS_EXEC_USE_GOTO
-
-#if CLGS_VM_COMPUTED_GOTO
-#define CLGS_EXEC_USE_GOTO 1
-#define CLGS_EXEC_FN runItemExecGoto
-#include "vm/InterpreterExecLoop.inc"
-#undef CLGS_EXEC_FN
-#undef CLGS_EXEC_USE_GOTO
-#endif
 
 } // namespace
 
 Result<ExecCounters> Engine::run() { return runImpl(); }
-
-bool vm::threadedDispatchAvailable() { return CLGS_VM_COMPUTED_GOTO != 0; }
 
 Result<ExecCounters> vm::launchKernel(const CompiledKernel &Kernel,
                                       const std::vector<KernelArg> &Args,

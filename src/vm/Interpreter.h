@@ -32,15 +32,6 @@
 namespace clgen {
 namespace vm {
 
-struct OpcodeProfile;
-
-/// True when this build dispatches unprofiled launches with a
-/// computed-goto label-address table (a GCC/Clang extension). Profiled
-/// launches, and every launch when this is false, run the portable
-/// switch instantiation of the same handler bodies, with the same
-/// results.
-bool threadedDispatchAvailable();
-
 /// A flat numeric buffer bound to a global buffer parameter.
 struct BufferData {
   /// Lane-flattened storage: element i occupies
@@ -112,15 +103,6 @@ struct LaunchConfig {
   /// kernel-visible semantics, so it participates in measurement cache
   /// keys; off by default.
   bool TrapDivZero = false;
-  /// When non-null, accumulates per-opcode and opcode-pair execution
-  /// counts for this launch (vm/Profile.h). Pure observation: never
-  /// feeds back into execution or results, and unlike ExecCounters the
-  /// counts stay raw (no MaxWorkGroups scale-up). A profiled launch runs
-  /// the portable switch instantiation of the execution loop, which
-  /// carries the per-instruction hook, so the computed-goto loop pays
-  /// nothing for it. Not thread-safe: point each concurrent launch at
-  /// its own profile and merge afterwards.
-  OpcodeProfile *Profile = nullptr;
 };
 
 /// Dynamic execution counters for one launch (scaled to the full NDRange

@@ -8,11 +8,9 @@
 // (predict::goldenExperimentOptions) must produce Table 1 and Figure 9
 // report bytes IDENTICAL to the files checked in under tests/golden/,
 // for every scheduling configuration — worker counts {1, 2, hardware},
-// cold compute and warm store load — and with every synthetic-kernel
-// launch profiled, which runs the VM's portable switch loop instead of
-// its computed-goto loop. Any semantic drift in synthesis, measurement,
-// feature extraction, fold assignment, tree training or report
-// rendering shows up here as a byte diff.
+// cold compute and warm store load. Any semantic drift in synthesis,
+// measurement, feature extraction, fold assignment, tree training or
+// report rendering shows up here as a byte diff.
 //
 // Regenerating after an INTENTIONAL semantic change:
 //   CLGS_REGEN_GOLDEN=1 ./clgen_tests --gtest_filter='ExperimentGolden*'
@@ -26,7 +24,6 @@
 
 #include "predict/Experiment.h"
 #include "store/Archive.h"
-#include "vm/Profile.h"
 
 #include "../TestUtil.h"
 
@@ -57,25 +54,17 @@ std::string readFileOrEmpty(const std::string &Path) {
 }
 
 /// One scheduling configuration of the golden matrix. Every entry must
-/// yield the same bytes — these knobs are scheduling-only by contract,
-/// and the driver profile is pure observation.
+/// yield the same bytes — these knobs are scheduling-only by contract.
 struct MatrixEntry {
   const char *Name;
   unsigned Workers;
-  /// Attach MatrixProfile, which sends every synthetic-kernel launch,
-  /// the dynamic checker's included, through the VM's switch loop: the
-  /// loop unprofiled runs do not take on GCC and Clang.
-  bool Profiled;
 };
 
 const MatrixEntry Matrix[] = {
-    {"w1", 1, false},
-    {"w2", 2, false},
-    {"whw", 0, false},
-    {"w1_switch_loop", 1, true},
+    {"w1", 1},
+    {"w2", 2},
+    {"whw", 0},
 };
-
-vm::SharedOpcodeProfile MatrixProfile;
 
 ExperimentOptions matrixOptions(const MatrixEntry &E) {
   ExperimentOptions Opts = goldenExperimentOptions();
@@ -83,7 +72,6 @@ ExperimentOptions matrixOptions(const MatrixEntry &E) {
   Opts.KFold.Workers = E.Workers;
   Opts.Streaming.Synthesis.Workers = E.Workers;
   Opts.Streaming.MeasureWorkers = E.Workers;
-  Opts.Streaming.Driver.Profile = E.Profiled ? &MatrixProfile : nullptr;
   return Opts;
 }
 
@@ -107,14 +95,9 @@ TEST(ExperimentGoldenTest, ReportBytesMatchGoldensAcrossScheduleMatrix) {
   // Cold computes: every scheduling configuration, byte-for-byte.
   for (const MatrixEntry &E : Matrix) {
     SCOPED_TRACE(E.Name);
-    uint64_t ProfiledBefore = MatrixProfile.snapshot().Launches;
     ExperimentResult R = runExperiment(matrixOptions(E));
     EXPECT_EQ(R.Table1, GoldenTable1);
     EXPECT_EQ(R.Fig9, GoldenFig9);
-    if (E.Profiled) {
-      EXPECT_GT(MatrixProfile.snapshot().Launches, ProfiledBefore)
-          << "no launch ran the switch loop";
-    }
   }
 
   // Warm loads: prime a store once (scheduling knobs are excluded from

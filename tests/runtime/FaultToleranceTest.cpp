@@ -167,38 +167,6 @@ TEST(FaultToleranceTest, DeterministicFailuresNeverRetry) {
   EXPECT_EQ(Attempts, 1u); // Retrying a deterministic trap is waste.
 }
 
-TEST(FaultToleranceTest, RetryBackoffClampsAndSaturates) {
-  // The schedule is exponential until the 30 s ceiling. A plain
-  // `BackoffMs << Attempt` is UB from attempt 32 on a 32-bit base;
-  // the helper must be total and monotone over the whole input range.
-  EXPECT_EQ(retryBackoffMs(0, 0), 0u);
-  EXPECT_EQ(retryBackoffMs(0, 1000), 0u); // Zero base stays zero.
-  EXPECT_EQ(retryBackoffMs(1, 0), 1u);
-  EXPECT_EQ(retryBackoffMs(1, 4), 16u);
-  EXPECT_EQ(retryBackoffMs(100, 3), 800u);
-  EXPECT_EQ(retryBackoffMs(1, 14), 16384u);
-  // 1 << 15 = 32768 > 30000: first saturated step.
-  EXPECT_EQ(retryBackoffMs(1, 15), MaxRetrySleepMs);
-  // The former UB boundaries: shift counts 31, 32, 63, 64 and beyond
-  // must all hit the ceiling, not wrap, zero out, or trap.
-  for (uint32_t Attempt : {31u, 32u, 33u, 63u, 64u, 65u, 1000u,
-                           0xFFFFFFFFu}) {
-    EXPECT_EQ(retryBackoffMs(1, Attempt), MaxRetrySleepMs)
-        << "attempt " << Attempt;
-    EXPECT_EQ(retryBackoffMs(0xFFFFFFFFu, Attempt), MaxRetrySleepMs)
-        << "attempt " << Attempt << " (max base)";
-  }
-  // Large base saturates immediately even with no shift.
-  EXPECT_EQ(retryBackoffMs(0xFFFFFFFFu, 0), MaxRetrySleepMs);
-  // Monotone: no attempt sleeps less than the one before it.
-  uint64_t Prev = 0;
-  for (uint32_t Attempt = 0; Attempt < 80; ++Attempt) {
-    uint64_t Cur = retryBackoffMs(3, Attempt);
-    EXPECT_GE(Cur, Prev) << "attempt " << Attempt;
-    Prev = Cur;
-  }
-}
-
 TEST(FaultToleranceTest, SuccessTakesOneAttempt) {
   uint32_t Attempts = 0;
   auto M = runBenchmarkWithRetry(
